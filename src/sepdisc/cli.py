@@ -4,8 +4,9 @@ Each subcommand runs one pipeline and emits a machine-readable JSON report
 (complex entries as [re, im] pairs). Reports are deterministic under fixed
 seeds; the timing field is the only part that varies between runs.
 
-Exit codes: 0 success, 2 input validation, 3 solver non-convergence,
-4 refuted certificate.
+Exit codes: 0 success, 2 input validation (including an input or output
+path that cannot be read or written), 3 solver non-convergence, 4 refuted
+certificate.
 """
 
 from __future__ import annotations
@@ -427,7 +428,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         outputs, code = args.func(args)
-    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:
@@ -449,8 +450,12 @@ def main(argv=None) -> int:
     }
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         print(text)
     return code

@@ -15,8 +15,18 @@ embedding.
 The search direction is the HKM direction of primal-dual path following; a
 Mehrotra-style predictor-corrector is available but off by default. When the
 problem carries strictly feasible primal/dual starting points (every program
-built by this package does), all iterates remain exactly feasible and the
-logged primal value never exceeds the dual value beyond roundoff.
+built by this package does), the iterates stay feasible up to roundoff that
+accumulates over the iterations; a solve that stalls is accepted only under
+the looser ``ACCEPT_*`` tolerances.
+
+The Schur complement M = sum_b C_b W_b C_b^T is assembled sparsely, in the
+manner of Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997). The Hermitian
+basis matrix T has at most two nonzeros per column, so each block's
+W_b = Re T^H (X_b kron Z_b^-T) T is formed by gathers in O(d^4), not by dense
+products in O(d^6). The rows C_b touching a block are stored once per solve
+as padded (column, value) pairs with their flat destinations in M, and each
+iteration adds the gathered entries there. A block that no row touches is
+skipped.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 from .linalg import (
     coords_to_herm,
     herm_to_coords,
-    hermitian_basis_matrix,
+    hermitian_basis_support,
     require_hermitian,
 )
 
@@ -179,29 +189,28 @@ def independent_rows(rows: np.ndarray, tol: float = ROW_DROP_TOL) -> np.ndarray:
     residual against the earlier kept rows falls below ``tol`` relative to
     the row norm).
 
-    Works chunkwise: each chunk is projected off the accumulated orthonormal
-    basis, and within the chunk the QR factor's diagonal supplies the
-    sequential residual norms.
+    Works in chunks of n rows, n the number of coordinates: the diagonal of
+    an R-only QR factor of a chunk supplies the sequential residual norms,
+    and it covers at most n rows. When m <= n, as in every program this
+    package builds, that is a single QR of all rows. Later chunks are first
+    projected off an orthonormal basis of the rows kept so far.
     """
     m, n = rows.shape
+    block = max(1, n)
     q = np.zeros((0, n))
     kept: list[int] = []
-    # The R diagonal only covers as many rows as there are coordinates, so a
-    # chunk must never be wider than n.
-    block = max(1, min(256, n))
     for start in range(0, m, block):
-        chunk = rows[start : start + block].copy()
+        chunk = rows[start : start + block]
         if q.shape[0]:
+            chunk = chunk - (chunk @ q.T) @ q
             chunk -= (chunk @ q.T) @ q
-            chunk -= (chunk @ q.T) @ q
-        r_mat = np.linalg.qr(chunk.T, mode="r")
-        resid = np.abs(np.diag(r_mat))
-        scale = np.maximum(1.0, np.linalg.norm(rows[start : start + chunk.shape[0]], axis=1))
-        keep_local = np.flatnonzero(resid >= tol * scale[: resid.size])
-        if keep_local.size:
+        resid = np.abs(np.diag(np.linalg.qr(chunk.T, mode="r")))
+        scale = np.maximum(1.0, np.linalg.norm(rows[start : start + block], axis=1))
+        keep_local = np.flatnonzero(resid >= tol * scale)
+        kept.extend(int(start + j) for j in keep_local)
+        if keep_local.size and start + block < m:
             q_new, _ = np.linalg.qr(chunk[keep_local].T)
             q = np.vstack([q, q_new.T])
-            kept.extend(int(start + j) for j in keep_local)
     return np.asarray(kept, dtype=int)
 
 
@@ -245,6 +254,67 @@ def _chol_or_none(a: np.ndarray):
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
+
+
+def _schur_block(xb: np.ndarray, zinv: np.ndarray) -> np.ndarray:
+    """W = Re T^H (X kron Z^-T) T, the real-basis matrix of E -> X E Z^-1.
+
+    T = hermitian_basis_matrix(d) has at most two nonzeros per column, so
+    only the columns i1, i2 of X kron Z^-T are formed (by broadcasting), and
+    the product with T^H is a gather of two rows.
+    """
+    d = xb.shape[0]
+    i1, i2, v1, v2 = hermitian_basis_support(d)
+    zt = zinv.T
+    kt = 0.0
+    for i, v in ((i1, v1), (i2, v2)):
+        # Column (c, e) of X kron Z^-T is X[:, c] kron Z^-T[:, e].
+        c, e = np.divmod(i, d)
+        kt = kt + xb[:, None, c] * (zt[:, e] * v)[None]
+    kt = kt.reshape(d * d, d * d)
+    w = (v1.conj()[:, None] * kt[i1] + v2.conj()[:, None] * kt[i2]).real
+    return (w + w.T) / 2.0
+
+
+def _block_gathers(c_rows: np.ndarray, slices) -> list:
+    """Per block, the rows that touch it as padded (column, value) arrays of
+    shape (t, k), k the most nonzeros of a row in the block, plus the flat
+    indices of their t x t pairs in the Schur matrix; None for a block that
+    no row touches.
+    """
+    m = c_rows.shape[0]
+    idx_type = np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
+    out = []
+    for sl in slices:
+        nz = c_rows[:, sl] != 0.0
+        counts = nz.sum(axis=1)
+        tb = np.flatnonzero(counts)
+        if tb.size == 0:
+            out.append(None)
+            continue
+        r_loc, c_loc = np.nonzero(nz[tb])
+        counts = counts[tb]
+        pos = np.arange(r_loc.size) - (np.cumsum(counts) - counts)[r_loc]
+        col = np.zeros((tb.size, int(counts.max())), dtype=np.intp)
+        val = np.zeros(col.shape)
+        col[r_loc, pos] = c_loc
+        val[r_loc, pos] = c_rows[tb[r_loc], sl.start + c_loc]
+        tb = tb.astype(idx_type)
+        out.append((col, val, (tb[:, None] * m + tb[None, :]).reshape(-1)))
+    return out
+
+
+def _add_schur_term(m_flat, w, col, val, dest) -> None:
+    """m_flat[dest] += C_b W C_b^T for the block's touched rows C_b."""
+    cw = val[:, 0, None] * w[col[:, 0]]
+    for p in range(1, col.shape[1]):
+        cw += val[:, p, None] * w[col[:, p]]
+    # Flat gathers: cw.take(base + col[:, p])[i, l] = cw[i, col[l, p]].
+    base = np.arange(0, cw.size, cw.shape[1])[:, None]
+    term = cw.take(base + col[:, 0]) * val[:, 0]
+    for p in range(1, col.shape[1]):
+        term += cw.take(base + col[:, p]) * val[:, p]
+    np.add.at(m_flat, dest, term.reshape(-1))
 
 
 def _max_step(blocks, dblocks, fraction: float) -> float:
@@ -320,19 +390,13 @@ def solve_sdp(
     slices = problem.block_slices()
     kept = independent_rows(problem.rows)
     _check_consistency(problem.rows, problem.rhs, kept)
-    c_rows = problem.rows[kept]
-    b = problem.rhs[kept]
+    if kept.size == problem.rows.shape[0]:
+        c_rows, b = problem.rows, problem.rhs
+    else:
+        c_rows, b = problem.rows[kept], problem.rhs[kept]
     a_blocks = list(problem.objective)
     a_coords = _coords_of_blocks(a_blocks)
-    t_mats = [hermitian_basis_matrix(d) for d in dims]
-
-    # Rows touching each block, and the dense per-block submatrices.
-    touch = []
-    subs = []
-    for sl in slices:
-        tb = np.flatnonzero(np.abs(c_rows[:, sl]).max(axis=1) > 0.0)
-        touch.append(tb)
-        subs.append(c_rows[np.ix_(tb, range(sl.start, sl.stop))])
+    gathers = _block_gathers(c_rows, slices)
 
     x_blocks, have_primal = _verify_primal_start(problem, c_rows, b)
     y, z_blocks, have_dual = _verify_dual_start(problem, c_rows, kept, slices)
@@ -385,11 +449,9 @@ def solve_sdp(
                 zinv_blocks.append(linv.conj().T @ linv)
 
             m_mat = np.zeros((b.size, b.size))
-            for xb, zinv, tm, tb, cb in zip(x_blocks, zinv_blocks, t_mats, touch, subs):
-                k_vec = np.kron(xb, zinv.T)  # row-major vec rep of E -> X E Z^-1
-                w_real = (tm.conj().T @ k_vec @ tm).real
-                w_real = (w_real + w_real.T) / 2.0
-                m_mat[np.ix_(tb, tb)] += cb @ w_real @ cb.T
+            for xb, zinv, g in zip(x_blocks, zinv_blocks, gathers):
+                if g is not None:
+                    _add_schur_term(m_mat.reshape(-1), _schur_block(xb, zinv), *g)
 
             def newton(sig_mu: float, corr_blocks):
                 rhs_vec = sig_mu * (c_rows @ _coords_of_blocks(zinv_blocks)) - b

@@ -274,6 +274,27 @@ def hermitian_basis_matrix(d: int) -> np.ndarray:
     return cols
 
 
+@lru_cache(maxsize=None)
+def hermitian_basis_support(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse form (i1, i2, v1, v2) of :func:`hermitian_basis_matrix`.
+
+    Column r of T is v1[r] e_{i1[r]} + v2[r] e_{i2[r]}; the diagonal units
+    have one nonzero, so there i2 = i1 and v2 = 0.
+    """
+    t = hermitian_basis_matrix(d)
+    r_idx, i_idx = np.nonzero(t.T)  # grouped by column r, row index ascending
+    nnz = np.bincount(r_idx, minlength=d * d)
+    last = np.cumsum(nnz) - 1
+    i1 = i_idx[last - nnz + 1]
+    i2 = i_idx[last]
+    cols = np.arange(d * d)
+    v1 = t[i1, cols]
+    v2 = np.where(nnz == 2, t[i2, cols], 0.0)
+    for a in (i1, i2, v1, v2):
+        a.flags.writeable = False
+    return i1, i2, v1, v2
+
+
 def real_map_matrix(apply_fn, d: int) -> np.ndarray:
     """Real-basis matrix R of a linear map on Herm(C^d): coords(f(H)) = R @ coords(H)."""
     r = np.zeros((d * d, d * d))

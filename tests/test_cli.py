@@ -200,3 +200,14 @@ def test_report_roundtrip_and_determinism(tmp_path):
     assert code1 == code2 == EXIT_OK
     assert rep1["outputs"] == rep2["outputs"]
     assert json.loads(json.dumps(rep1)) == rep1
+
+
+def test_unwritable_output_paths(tmp_path, capsys):
+    missing = tmp_path / "missing" / "report.json"
+    for argv in (
+        ["ups", "tiles", "--action", "check", "--out", str(tmp_path)],
+        ["ups", "tiles", "--action", "check", "--out", str(missing)],
+        ["discriminate", "bell3", "--class", "global", "--log-iterates", str(tmp_path)],
+    ):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")

@@ -3,6 +3,9 @@ import pytest
 
 from sepdisc.conesolve import (
     DualCertificate,
+    _add_schur_term,
+    _block_gathers,
+    _schur_block,
     IllPosedProblemError,
     SDPProblem,
     format_iterate_log,
@@ -13,7 +16,7 @@ from sepdisc.conesolve import (
     verify_farkas,
     weak_duality_ok,
 )
-from sepdisc.linalg import herm_to_coords
+from sepdisc.linalg import herm_to_coords, hermitian_basis_matrix
 
 
 def forced_point_problem():
@@ -126,14 +129,76 @@ def test_independent_rows_matches_greedy_reference(rng):
                 kept.append(i)
         return kept
 
-    for _ in range(100):
-        m = int(rng.integers(1, 40))
-        n = int(rng.integers(1, 12))
-        base = rng.standard_normal((max(1, m // 2), n))
+    def mixed(m, n, r):
+        base = rng.standard_normal((r, n))
         mix = rng.standard_normal((m, base.shape[0])) @ base
         mask = rng.random(m) < 0.5
-        rows = np.where(mask[:, None], mix, rng.standard_normal((m, n)))
+        return np.where(mask[:, None], mix, rng.standard_normal((m, n)))
+
+    for _ in range(100):
+        m = int(rng.integers(1, 40))
+        rows = mixed(m, int(rng.integers(1, 12)), max(1, m // 2))
         assert independent_rows(rows).tolist() == greedy(rows)
+
+    # Wider than one 256-row chunk: m <= n is a single QR, m > n spans
+    # several chunks of n rows.
+    for m, n in ((300, 300), (200, 290), (650, 270)):
+        rows = mixed(m, n, m // 4)
+        kept = independent_rows(rows)
+        assert kept.tolist() == greedy(rows)
+        assert 0 < kept.size < m
+
+
+def _random_psd(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g @ g.conj().T / d + np.eye(d)
+
+
+def test_schur_block_matches_dense_reference(rng):
+    for d in (1, 2, 3, 9, 16):
+        x, zinv = _random_psd(rng, d), _random_psd(rng, d)
+        t = hermitian_basis_matrix(d)
+        dense = (t.conj().T @ np.kron(x, zinv.T) @ t).real
+        assert np.abs(_schur_block(x, zinv) - dense).max() <= 1e-12
+
+
+def test_schur_assembly_matches_dense_reference(rng):
+    # Rows with 1, 2 and more than 2 nonzeros per block, and -1/+1 entries.
+    dims = (3, 2, 1, 4)
+    sizes = [d * d for d in dims]
+    offsets = np.cumsum([0] + sizes)
+    slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+    m = 40
+    rows = np.zeros((m, offsets[-1]))
+    for i in range(m):
+        for sl, size in zip(slices, sizes):
+            nnz = int(rng.integers(0, size + 1))
+            cols = rng.choice(size, size=nnz, replace=False)
+            rows[i, sl.start + cols] = rng.standard_normal(nnz)
+    single = np.zeros_like(rows)  # one +-1 per touched row and block
+    for sl, size in zip(slices, sizes):
+        touched = rng.random(m) < 0.6
+        single[touched, sl.start + rng.integers(0, size, touched.sum())] = rng.choice(
+            [-1.0, 1.0], touched.sum()
+        )
+    for c_rows in (rows, single):
+        w_blocks = []
+        for d in dims:
+            g = rng.standard_normal((d * d, d * d))
+            w_blocks.append(g + g.T)
+        gathers = _block_gathers(c_rows, slices)
+        assert all(g is not None for g in gathers)
+        got = np.zeros((m, m))
+        dense = np.zeros((m, m))
+        for w, g, sl in zip(w_blocks, gathers, slices):
+            _add_schur_term(got.reshape(-1), w, *g)
+            dense += c_rows[:, sl] @ w @ c_rows[:, sl].T
+        if c_rows is rows:
+            assert max(g[0].shape[1] for g in gathers) > 2
+            assert np.abs(got - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
+        else:
+            assert all(g[0].shape[1] == 1 for g in gathers)
+            assert np.array_equal(got, dense)
 
 
 def test_dual_certificate_trace():
@@ -154,6 +219,20 @@ def test_lp_diagonal_weights():
     assert np.allclose(res.weights, [1.0, 1.0], atol=1e-7)
     fit = res.weights[0] * cols[0] + res.weights[1] * cols[1]
     assert np.linalg.norm(fit - np.eye(2)) <= 1e-8
+    ok, worst = weak_duality_ok(res.solution.log)
+    assert ok, worst
+
+
+def test_lp_zero_column_leaves_block_untouched():
+    # The zero column's 1x1 block appears in no constraint row.
+    cols = [
+        np.diag([1.0, 0.0]).astype(complex),
+        np.zeros((2, 2), dtype=complex),
+        np.diag([0.0, 1.0]).astype(complex),
+    ]
+    res = solve_lp_feasibility(cols, np.eye(2, dtype=complex))
+    assert res.feasible
+    assert np.allclose(res.weights[[0, 2]], [1.0, 1.0], atol=1e-7)
     ok, worst = weak_duality_ok(res.solution.log)
     assert ok, worst
 
