@@ -191,9 +191,9 @@ def independent_rows(rows: np.ndarray, tol: float = ROW_DROP_TOL) -> np.ndarray:
 
     Works in chunks of n rows, n the number of coordinates: the diagonal of
     an R-only QR factor of a chunk supplies the sequential residual norms,
-    and it covers at most n rows. When m <= n, as in every program this
-    package builds, that is a single QR of all rows. Later chunks are first
-    projected off an orthonormal basis of the rows kept so far.
+    and it covers at most n rows. When m <= n, as in every PPT and global
+    discrimination program, that is a single QR of all rows. Later chunks
+    are first projected off an orthonormal basis of the rows kept so far.
     """
     m, n = rows.shape
     block = max(1, n)
@@ -294,6 +294,7 @@ def _block_gathers(c_rows: np.ndarray, slices) -> list:
             continue
         r_loc, c_loc = np.nonzero(nz[tb])
         counts = counts[tb]
+        # np.nonzero walks row by row, so this is each entry's slot in its row.
         pos = np.arange(r_loc.size) - (np.cumsum(counts) - counts)[r_loc]
         col = np.zeros((tb.size, int(counts.max())), dtype=np.intp)
         val = np.zeros(col.shape)
@@ -314,6 +315,7 @@ def _add_schur_term(m_flat, w, col, val, dest) -> None:
     term = cw.take(base + col[:, 0]) * val[:, 0]
     for p in range(1, col.shape[1]):
         term += cw.take(base + col[:, p]) * val[:, p]
+    # dest has no repeats, so this equals m_flat[dest] += term, only faster.
     np.add.at(m_flat, dest, term.reshape(-1))
 
 
