@@ -175,6 +175,8 @@ def test_schur_assembly_matches_dense_reference(rng):
             nnz = int(rng.integers(0, size + 1))
             cols = rng.choice(size, size=nnz, replace=False)
             rows[i, sl.start + cols] = rng.standard_normal(nnz)
+    per_row = {int(c) for sl in slices for c in np.count_nonzero(rows[:, sl], axis=1)}
+    assert {1, 2} <= per_row and max(per_row) > 2
     single = np.zeros_like(rows)  # one +-1 per touched row and block
     for sl, size in zip(slices, sizes):
         touched = rng.random(m) < 0.6
@@ -194,7 +196,6 @@ def test_schur_assembly_matches_dense_reference(rng):
             _add_schur_term(got.reshape(-1), w, *g)
             dense += c_rows[:, sl] @ w @ c_rows[:, sl].T
         if c_rows is rows:
-            assert max(g[0].shape[1] for g in gathers) > 2
             assert np.abs(got - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
         else:
             assert all(g[0].shape[1] == 1 for g in gathers)
