@@ -12,12 +12,17 @@ real coordinate rows in the fixed orthonormal Hermitian basis, which makes
 the whole problem a real optimization problem without a doubled real
 embedding.
 
-The search direction is the HKM direction of primal-dual path following; a
-Mehrotra-style predictor-corrector is available but off by default. When the
-problem carries strictly feasible primal/dual starting points (every program
-built by this package does), the iterates stay feasible up to roundoff that
-accumulates over the iterations; a solve that stalls is accepted only under
-the looser ``ACCEPT_*`` tolerances.
+Every iteration takes a Mehrotra predictor-corrector step on the HKM
+direction of primal-dual path following (Mehrotra, SIAM J. Optim. 2, 1992).
+Both the predictor and the corrector solve the same Schur system with
+``np.linalg.solve``. When the problem carries strictly feasible primal/dual
+starting points (every program built by this package does), the iterates
+stay feasible up to roundoff that accumulates over the iterations. A solve
+stops once it meets the ``DEFAULT_*`` tolerances, or once it has stalled:
+its iterate meets the looser ``ACCEPT_*`` tolerances and, over the last
+``STALL_WINDOW`` iterations, neither |gap| nor the primal residual has
+halved. A stalled solve, or one that stops for another reason at an
+iterate within ``ACCEPT_*``, is reported optimal.
 
 The Schur complement M = sum_b C_b W_b C_b^T is assembled sparsely, in the
 manner of Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997). The Hermitian
@@ -43,7 +48,7 @@ from .linalg import (
     require_hermitian,
 )
 
-DEFAULT_GAP_TOL = 1e-9
+DEFAULT_GAP_TOL = 5e-10
 DEFAULT_FEAS_TOL = 1e-10
 ACCEPT_GAP_TOL = 1e-7
 ACCEPT_FEAS_TOL = 1e-8
@@ -51,10 +56,20 @@ ROW_DROP_TOL = 1e-10
 FARKAS_THRESHOLD = 1e-6
 MAX_ITERATIONS = 200
 BOUNDARY_FRACTION = 0.98
+STALL_WINDOW = 3
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible-detected"
 STATUS_MAX_ITERATIONS = "max-iterations"
+
+# Why the iteration ended (SDPSolution.stop_reason); the status is separate:
+# a stalled solve, for one, is still optimal under ACCEPT_*.
+STOP_CONVERGED = "converged"
+STOP_STALLED = "stalled"
+STOP_MAX_ITERATIONS = "max-iterations"
+STOP_STEP_COLLAPSE = "step-collapse"
+STOP_INFEASIBLE = "infeasible"
+STOP_FACTORIZATION_FAILED = "factorization-failed"
 
 
 class IllPosedProblemError(ValueError):
@@ -71,22 +86,33 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class IterateRecord:
+    """One iterate. ``mu`` is <X, Z> / sum of block dims; ``sigma``,
+    ``alpha_primal`` and ``alpha_dual`` describe the step that produced the
+    iterate (0 at iterate 0, which no step produced)."""
+
     index: int
     primal: float
     dual: float
     gap: float
     primal_residual: float
     dual_residual: float
+    mu: float
+    sigma: float
+    alpha_primal: float
+    alpha_dual: float
+
+
+_LOG_COLUMNS = (
+    "primal", "dual", "gap", "primal_residual", "dual_residual",
+    "mu", "sigma", "alpha_primal", "alpha_dual",
+)
 
 
 def format_iterate_log(records: list[IterateRecord]) -> str:
     """Tab-separated log, one line per iteration."""
-    lines = ["iter\tprimal\tdual\tgap\tprimal_residual\tdual_residual"]
+    lines = ["\t".join(("iter",) + _LOG_COLUMNS)]
     for r in records:
-        lines.append(
-            f"{r.index}\t{r.primal!r}\t{r.dual!r}\t{r.gap!r}"
-            f"\t{r.primal_residual!r}\t{r.dual_residual!r}"
-        )
+        lines.append("\t".join([str(r.index)] + [repr(getattr(r, c)) for c in _LOG_COLUMNS]))
     return "\n".join(lines) + "\n"
 
 
@@ -176,6 +202,7 @@ class SDPSolution:
     iterations: int
     log: list[IterateRecord]
     kept_rows: np.ndarray
+    stop_reason: str
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +346,9 @@ def _add_schur_term(m_flat, w, col, val, dest) -> None:
     np.add.at(m_flat, dest, term.reshape(-1))
 
 
-def _max_step(blocks, dblocks, fraction: float) -> float:
-    """fraction times the distance to the PSD boundary along the direction,
-    capped at 1. Uses the Cholesky factors of the current blocks."""
+def _max_step(blocks, dblocks) -> float:
+    """BOUNDARY_FRACTION times the distance to the PSD boundary along the
+    direction, capped at 1. Uses the Cholesky factors of the current blocks."""
     alpha = 1.0
     for s, ds in zip(blocks, dblocks):
         ell = _chol_or_none(s)
@@ -331,7 +358,7 @@ def _max_step(blocks, dblocks, fraction: float) -> float:
         t = np.linalg.solve(ell, w.conj().T).conj().T
         lam = float(np.linalg.eigvalsh(_sym(t))[0])
         if lam < 0.0:
-            alpha = min(alpha, -fraction / lam)
+            alpha = min(alpha, -BOUNDARY_FRACTION / lam)
     return alpha
 
 
@@ -372,21 +399,39 @@ def _verify_dual_start(problem, c_rows, kept, slices) -> tuple[np.ndarray, list[
     return y, z, True
 
 
-def solve_sdp(
-    problem: SDPProblem,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    sigma: float = 0.25,
-    boundary_fraction: float = BOUNDARY_FRACTION,
-    use_corrector: bool = False,
-) -> SDPSolution:
-    """Solve a block-diagonal SDP by primal-dual path following.
+def _acceptable(record: IterateRecord, b_scale: float, a_scale: float) -> bool:
+    """The published solution tolerances ``ACCEPT_*``, looser than ``DEFAULT_*``."""
+    return (
+        abs(record.gap) <= ACCEPT_GAP_TOL * (1.0 + abs(record.dual))
+        and record.primal_residual <= ACCEPT_FEAS_TOL * b_scale
+        and record.dual_residual <= ACCEPT_FEAS_TOL * a_scale
+    )
+
+
+def _stalled(records: list[IterateRecord]) -> bool:
+    """Over the last STALL_WINDOW iterations neither |gap| nor the primal
+    residual has halved."""
+    if len(records) <= STALL_WINDOW:
+        return False
+    now, then = records[-1], records[-1 - STALL_WINDOW]
+    return (
+        abs(now.gap) > 0.5 * abs(then.gap)
+        and now.primal_residual > 0.5 * then.primal_residual
+    )
+
+
+def solve_sdp(problem: SDPProblem) -> SDPSolution:
+    """Solve a block-diagonal SDP by Mehrotra predictor-corrector path
+    following on the HKM direction.
+
+    Each iteration solves the Schur system twice: once for the affine
+    (sigma = 0) predictor, whose step lengths set sigma = (mu_aff / mu)^3,
+    and once for the centred direction with the second-order correction.
 
     Deterministic: identical inputs produce identical iterate logs. Raises
     IllPosedProblemError for inconsistent constraints; non-convergence is
-    reported through ``status`` rather than an exception.
+    reported through ``status`` rather than an exception, and
+    ``stop_reason`` says why the iteration ended.
     """
     dims = problem.block_dims
     slices = problem.block_slices()
@@ -414,9 +459,12 @@ def solve_sdp(
     total_dim = sum(dims)
     records: list[IterateRecord] = []
     status = STATUS_MAX_ITERATIONS
+    stop_reason = STOP_MAX_ITERATIONS
+    # The step that produced the current iterate; none before the first.
+    sig, alpha_p, alpha_d = 0.0, 0.0, 0.0
     it = 0
 
-    for it in range(max_iterations + 1):
+    for it in range(MAX_ITERATIONS + 1):
         x_coords = _coords_of_blocks(x_blocks)
         rp = b - c_rows @ x_coords
         rd_coords = c_rows.T @ y - a_coords - _coords_of_blocks(z_blocks)
@@ -424,25 +472,30 @@ def solve_sdp(
         pv = sum(_hs(a, x) for a, x in zip(a_blocks, x_blocks))
         dv = float(b @ y)
         mu_total = sum(_hs(x, z) for x, z in zip(x_blocks, z_blocks))
+        mu = mu_total / total_dim
         rp_norm = float(np.linalg.norm(rp))
         rd_norm = float(np.linalg.norm(rd_coords))
-        records.append(IterateRecord(it, pv, dv, pv - dv, rp_norm, rd_norm))
+        records.append(
+            IterateRecord(it, pv, dv, pv - dv, rp_norm, rd_norm, mu, sig, alpha_p, alpha_d)
+        )
 
         if (
-            mu_total <= gap_tol * (1.0 + abs(dv))
-            and abs(pv - dv) <= gap_tol * (1.0 + abs(dv))
-            and rp_norm <= feas_tol * b_scale
-            and rd_norm <= feas_tol * a_scale
+            mu_total <= DEFAULT_GAP_TOL * (1.0 + abs(dv))
+            and abs(pv - dv) <= DEFAULT_GAP_TOL * (1.0 + abs(dv))
+            and rp_norm <= DEFAULT_FEAS_TOL * b_scale
+            and rd_norm <= DEFAULT_FEAS_TOL * a_scale
         ):
-            status = STATUS_OPTIMAL
+            status, stop_reason = STATUS_OPTIMAL, STOP_CONVERGED
             break
-        if it == max_iterations:
+        if it == MAX_ITERATIONS:
+            break
+        if _stalled(records) and _acceptable(records[-1], b_scale, a_scale):
+            stop_reason = STOP_STALLED
             break
         if float(np.linalg.norm(y)) > 1e12 * eta:
-            status = STATUS_INFEASIBLE
+            status, stop_reason = STATUS_INFEASIBLE, STOP_INFEASIBLE
             break
 
-        mu = mu_total / total_dim
         try:
             zinv_blocks = []
             for zb in z_blocks:
@@ -455,18 +508,14 @@ def solve_sdp(
                 if g is not None:
                     _add_schur_term(m_mat.reshape(-1), _schur_block(xb, zinv), *g)
 
-            def newton(sig_mu: float, corr_blocks):
-                rhs_vec = sig_mu * (c_rows @ _coords_of_blocks(zinv_blocks)) - b
-                extra = [
-                    _sym(x @ rd @ zi)
-                    for x, rd, zi in zip(x_blocks, rd_blocks, zinv_blocks)
-                ]
-                if corr_blocks is not None:
-                    extra = [
-                        e + _sym(dx @ dz @ zi)
-                        for e, dx, dz, zi in zip(extra, *corr_blocks, zinv_blocks)
-                    ]
-                rhs_vec -= c_rows @ _coords_of_blocks(extra)
+            c_zinv = c_rows @ _coords_of_blocks(zinv_blocks)
+            x_rd_zinv = [x @ rd @ zi for x, rd, zi in zip(x_blocks, rd_blocks, zinv_blocks)]
+
+            def newton(sig_mu: float, corr):
+                """HKM direction for target sig_mu; corr is the second-order
+                term dX_aff dZ_aff Z^-1 per block, or None."""
+                terms = x_rd_zinv if corr is None else [t + c for t, c in zip(x_rd_zinv, corr)]
+                rhs_vec = sig_mu * c_zinv - b - c_rows @ _coords_of_blocks([_sym(t) for t in terms])
                 try:
                     dy = np.linalg.solve(m_mat, rhs_vec)
                 except np.linalg.LinAlgError:
@@ -475,47 +524,41 @@ def solve_sdp(
                 dz_coords = c_rows.T @ dy + rd_coords
                 dz = _blocks_from_coords(dz_coords, dims, slices)
                 dx = []
-                for xb, zinv, dzb in zip(x_blocks, zinv_blocks, dz):
+                for i, (xb, zinv, dzb) in enumerate(zip(x_blocks, zinv_blocks, dz)):
                     core = sig_mu * zinv - xb - _sym(xb @ dzb @ zinv)
-                    if corr_blocks is not None:
-                        i = len(dx)
-                        core = core - _sym(corr_blocks[0][i] @ corr_blocks[1][i] @ zinv)
+                    if corr is not None:
+                        core = core - _sym(corr[i])
                     dx.append(_sym(core))
                 return dx, dy, dz
 
-            if use_corrector:
-                dx_aff, _, dz_aff = newton(0.0, None)
-                ap = _max_step(x_blocks, dx_aff, boundary_fraction)
-                ad = _max_step(z_blocks, dz_aff, boundary_fraction)
-                mu_aff = sum(
-                    _hs(x + ap * dx, z + ad * dz)
-                    for x, dx, z, dz in zip(x_blocks, dx_aff, z_blocks, dz_aff)
-                )
-                sig = min(1.0, max(0.0, (mu_aff / mu_total) ** 3))
-                dx_blocks, dy, dz_blocks = newton(sig * mu, (dx_aff, dz_aff))
-            else:
-                dx_blocks, dy, dz_blocks = newton(sigma * mu, None)
+            dx_aff, _, dz_aff = newton(0.0, None)
+            ap = _max_step(x_blocks, dx_aff)
+            ad = _max_step(z_blocks, dz_aff)
+            mu_aff = sum(
+                _hs(x + ap * dx, z + ad * dz)
+                for x, dx, z, dz in zip(x_blocks, dx_aff, z_blocks, dz_aff)
+            )
+            sig = min(1.0, max(0.0, (mu_aff / mu_total) ** 3))
+            corr = [dx @ dz @ zi for dx, dz, zi in zip(dx_aff, dz_aff, zinv_blocks)]
+            dx_blocks, dy, dz_blocks = newton(sig * mu, corr)
         except np.linalg.LinAlgError:
+            stop_reason = STOP_FACTORIZATION_FAILED
             break
 
-        alpha_p = _max_step(x_blocks, dx_blocks, boundary_fraction)
-        alpha_d = _max_step(z_blocks, dz_blocks, boundary_fraction)
+        alpha_p = _max_step(x_blocks, dx_blocks)
+        alpha_d = _max_step(z_blocks, dz_blocks)
         if max(alpha_p, alpha_d) < 1e-10:
+            stop_reason = STOP_STEP_COLLAPSE
             break
         x_blocks = [_sym(x + alpha_p * dx) for x, dx in zip(x_blocks, dx_blocks)]
         y = y + alpha_d * dy
         z_blocks = [_sym(z + alpha_d * dz) for z, dz in zip(z_blocks, dz_blocks)]
 
     last = records[-1]
-    if status != STATUS_OPTIMAL and status != STATUS_INFEASIBLE:
+    if status == STATUS_MAX_ITERATIONS and _acceptable(last, b_scale, a_scale):
         # Accept a numerically stalled point that still meets the published
         # solution tolerances.
-        if (
-            abs(last.gap) <= ACCEPT_GAP_TOL * (1.0 + abs(last.dual))
-            and last.primal_residual <= ACCEPT_FEAS_TOL * b_scale
-            and last.dual_residual <= ACCEPT_FEAS_TOL * a_scale
-        ):
-            status = STATUS_OPTIMAL
+        status = STATUS_OPTIMAL
 
     y_full = np.zeros(problem.rows.shape[0])
     y_full[kept] = y
@@ -530,6 +573,7 @@ def solve_sdp(
         iterations=it,
         log=records,
         kept_rows=kept,
+        stop_reason=stop_reason,
     )
 
 

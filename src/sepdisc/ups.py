@@ -239,8 +239,8 @@ def ups_plus_state_bound(s: UPSet, z: np.ndarray, lam: float) -> UPSBoundReport:
     is PSD outright, and its slack against z is block positive whenever lam
     is a valid constant.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     z = np.asarray(z, dtype=complex)
     if z.size != s.space.total_dim:
         raise ValueError("z does not live on the set's space")

@@ -236,6 +236,16 @@ def test_criterion_7_tiles_plus_state():
     )
 
 
+def test_ppt_solve_iteration_counts(four_bell_curve, three_bell_points, ydy_ppt, domino_ppt):
+    # The predictor-corrector takes 8-10 iterations on each of these; the
+    # fixed-sigma direction it replaced took 16-19.
+    solutions = {f"bell4 eps={eps}": r for eps, (r, _) in four_bell_curve.items()}
+    solutions.update({f"bell3 eps={eps}": r for eps, (r, _) in three_bell_points.items()})
+    solutions.update(ydy=ydy_ppt, domino=domino_ppt)
+    counts = {name: r.solution.iterations for name, r in solutions.items()}
+    assert max(counts.values()) <= 12, counts
+
+
 def test_criterion_8_property_suites(
     four_bell_curve, three_bell_points, domino_ppt, bell4_ppt, bell3_ppt, ydy_ppt, ydy_global, rng
 ):

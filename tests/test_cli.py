@@ -65,6 +65,7 @@ def test_discriminate_iterate_log(tmp_path):
     lines = log.read_text().splitlines()
     assert lines[0].split("\t") == [
         "iter", "primal", "dual", "gap", "primal_residual", "dual_residual",
+        "mu", "sigma", "alpha_primal", "alpha_dual",
     ]
     assert len(lines) == report["outputs"]["iterations"] + 2
 
@@ -180,6 +181,14 @@ def test_ups_bound_requires_lambda(tmp_path):
     assert code == EXIT_INPUT
     code, _ = run(tmp_path, "ups", "feng", "--action", "bound", "--lambda", "analytic")
     assert code == EXIT_INPUT
+
+
+def test_ups_bound_rejects_non_finite_lambda(tmp_path, capsys):
+    for lam in ("nan", "inf"):
+        code, report = run(tmp_path, "ups", "tiles", "--action", "bound", "--lambda", lam)
+        assert code == EXIT_INPUT and report is None
+        err = capsys.readouterr().err
+        assert err == f"error: lam must be finite and positive, got {lam}\n"
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):

@@ -59,22 +59,6 @@ def test_solution_invariants_small():
     assert ok, worst
 
 
-def test_corrector_variant_agrees():
-    rng = np.random.default_rng(23)
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    a = (g + g.conj().T) / 2
-    prob = SDPProblem(
-        block_dims=(3,),
-        objective=(a,),
-        rows=herm_to_coords(np.eye(3, dtype=complex))[None, :],
-        rhs=np.array([1.0]),
-    )
-    plain = solve_sdp(prob)
-    corrected = solve_sdp(prob, use_corrector=True)
-    assert plain.status == corrected.status == "optimal"
-    assert abs(plain.primal_value - corrected.primal_value) <= 1e-7
-
-
 def test_deterministic_logs():
     a = solve_sdp(forced_point_problem())
     b = solve_sdp(forced_point_problem())

@@ -8,6 +8,7 @@ from sepdisc.discrimination import (
     four_bell_value,
     measurement_value,
     optimal_global,
+    optimal_ppt,
     sep_bound_from_certificate,
     three_bell_value,
     ydy_local_measurement,
@@ -67,6 +68,20 @@ def test_ppt_bell3(bell3_ppt):
 
 def test_ppt_ydy(ydy_ppt):
     assert abs(ydy_ppt.value - 7 / 8) <= 1e-6
+
+
+def test_ppt_tiles_psi_stalls_out_early():
+    # The tiles members plus their orthogonal state: the primal residual stops
+    # improving near 1e-8, so the solve ends on the stall exit, not after
+    # MAX_ITERATIONS.
+    r = optimal_ppt(catalog("tiles_psi"))
+    sol = r.solution
+    assert sol.status == "optimal"
+    assert sol.stop_reason == "stalled"
+    assert 1 - 1e-6 <= r.value <= 1 + 1e-7
+    assert sol.iterations <= 40
+    ok, worst = weak_duality_ok(sol.log)
+    assert ok, worst
 
 
 def test_ppt_measurement_is_ppt(bell4_ppt):
