@@ -17,11 +17,15 @@ direction of primal-dual path following (Mehrotra, SIAM J. Optim. 2, 1992).
 Both the predictor and the corrector solve the same Schur system with
 ``np.linalg.solve``. When the problem carries strictly feasible primal/dual
 starting points (every program built by this package does), the iterates
-stay feasible up to roundoff that accumulates over the iterations. A solve
-stops once it meets the ``DEFAULT_*`` tolerances, or once it has stalled:
-its iterate meets the looser ``ACCEPT_*`` tolerances and, over the last
-``STALL_WINDOW`` iterations, neither |gap| nor the primal residual has
-halved. A stalled solve, or one that stops for another reason at an
+stay feasible up to roundoff that accumulates over the iterations. Near the
+optimum that roundoff is held down in two ways: a step whose primal defect
+|C dX - r_p| exceeds ``REFINE_TOL`` gets one step of iterative refinement
+(a third solve), and once mu and the gap meet ``DEFAULT_*`` the centring
+parameter is 1, so mu is not driven further toward 0 while only
+feasibility is missing. A solve stops once it meets the ``DEFAULT_*``
+tolerances, or once it has stalled: its iterate meets the looser
+``ACCEPT_*`` tolerances and, over the last ``STALL_WINDOW`` iterations,
+neither |gap| nor the primal residual has halved. A stalled solve, or one that stops for another reason at an
 iterate within ``ACCEPT_*``, is reported optimal.
 
 The Schur complement M = sum_b C_b W_b C_b^T is assembled sparsely, in the
@@ -57,6 +61,9 @@ FARKAS_THRESHOLD = 1e-6
 MAX_ITERATIONS = 200
 BOUNDARY_FRACTION = 0.98
 STALL_WINDOW = 3
+# A direction whose defect |C dX - r_p| exceeds REFINE_TOL * (1 + |b|) gets one
+# step of iterative refinement: a tenth of the feasibility tolerance.
+REFINE_TOL = 0.1 * DEFAULT_FEAS_TOL
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible-detected"
@@ -427,6 +434,8 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     Each iteration solves the Schur system twice: once for the affine
     (sigma = 0) predictor, whose step lengths set sigma = (mu_aff / mu)^3,
     and once for the centred direction with the second-order correction.
+    Sigma is 1 once mu and the gap meet ``DEFAULT_*``. A third solve refines
+    dy when the direction's primal defect exceeds ``REFINE_TOL``.
 
     Deterministic: identical inputs produce identical iterate logs. Raises
     IllPosedProblemError for inconsistent constraints; non-convergence is
@@ -479,9 +488,9 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             IterateRecord(it, pv, dv, pv - dv, rp_norm, rd_norm, mu, sig, alpha_p, alpha_d)
         )
 
+        gap_met = max(mu_total, abs(pv - dv)) <= DEFAULT_GAP_TOL * (1.0 + abs(dv))
         if (
-            mu_total <= DEFAULT_GAP_TOL * (1.0 + abs(dv))
-            and abs(pv - dv) <= DEFAULT_GAP_TOL * (1.0 + abs(dv))
+            gap_met
             and rp_norm <= DEFAULT_FEAS_TOL * b_scale
             and rd_norm <= DEFAULT_FEAS_TOL * a_scale
         ):
@@ -511,16 +520,15 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             c_zinv = c_rows @ _coords_of_blocks(zinv_blocks)
             x_rd_zinv = [x @ rd @ zi for x, rd, zi in zip(x_blocks, rd_blocks, zinv_blocks)]
 
-            def newton(sig_mu: float, corr):
-                """HKM direction for target sig_mu; corr is the second-order
-                term dX_aff dZ_aff Z^-1 per block, or None."""
-                terms = x_rd_zinv if corr is None else [t + c for t, c in zip(x_rd_zinv, corr)]
-                rhs_vec = sig_mu * c_zinv - b - c_rows @ _coords_of_blocks([_sym(t) for t in terms])
+            def solve_m(rhs_vec):
                 try:
-                    dy = np.linalg.solve(m_mat, rhs_vec)
+                    return np.linalg.solve(m_mat, rhs_vec)
                 except np.linalg.LinAlgError:
                     ridge = 1e-14 * (1.0 + np.trace(m_mat) / b.size)
-                    dy = np.linalg.solve(m_mat + ridge * np.eye(b.size), rhs_vec)
+                    return np.linalg.solve(m_mat + ridge * np.eye(b.size), rhs_vec)
+
+            def steps(dy, sig_mu: float, corr):
+                """dX and dZ of the HKM direction for the given dy."""
                 dz_coords = c_rows.T @ dy + rd_coords
                 dz = _blocks_from_coords(dz_coords, dims, slices)
                 dx = []
@@ -529,6 +537,15 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
                     if corr is not None:
                         core = core - _sym(corr[i])
                     dx.append(_sym(core))
+                return dx, dz
+
+            def newton(sig_mu: float, corr):
+                """HKM direction for target sig_mu; corr is the second-order
+                term dX_aff dZ_aff Z^-1 per block, or None."""
+                terms = x_rd_zinv if corr is None else [t + c for t, c in zip(x_rd_zinv, corr)]
+                rhs_vec = sig_mu * c_zinv - b - c_rows @ _coords_of_blocks([_sym(t) for t in terms])
+                dy = solve_m(rhs_vec)
+                dx, dz = steps(dy, sig_mu, corr)
                 return dx, dy, dz
 
             dx_aff, _, dz_aff = newton(0.0, None)
@@ -538,9 +555,28 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
                 _hs(x + ap * dx, z + ad * dz)
                 for x, dx, z, dz in zip(x_blocks, dx_aff, z_blocks, dz_aff)
             )
-            sig = min(1.0, max(0.0, (mu_aff / mu_total) ** 3))
+            # Once mu and the gap meet DEFAULT_*, only feasibility is missing.
+            # Aim at the same mu (sigma = 1) then: driving mu further toward 0
+            # lets y . r_p outweigh <X, Z>, and the primal value pass the dual.
+            if gap_met:
+                sig = 1.0
+            else:
+                sig = min(1.0, max(0.0, (mu_aff / mu_total) ** 3))
             corr = [dx @ dz @ zi for dx, dz, zi in zip(dx_aff, dz_aff, zinv_blocks)]
             dx_blocks, dy, dz_blocks = newton(sig * mu, corr)
+
+            # C dX = r_p holds only up to the Schur solve's residual and the
+            # roundoff in M, which near the optimum (|M| ~ 1/mu) would go
+            # straight into the next primal residual. One step of iterative
+            # refinement against the applied operator removes most of it; it
+            # is kept only if it shrinks the defect.
+            defect = c_rows @ _coords_of_blocks(dx_blocks) - rp
+            defect_norm = float(np.linalg.norm(defect))
+            if defect_norm > REFINE_TOL * b_scale:
+                dy_ref = dy + solve_m(defect)
+                dx_ref, dz_ref = steps(dy_ref, sig * mu, corr)
+                if np.linalg.norm(c_rows @ _coords_of_blocks(dx_ref) - rp) < defect_norm:
+                    dx_blocks, dy, dz_blocks = dx_ref, dy_ref, dz_ref
         except np.linalg.LinAlgError:
             stop_reason = STOP_FACTORIZATION_FAILED
             break

@@ -237,16 +237,17 @@ def test_criterion_7_tiles_plus_state():
 
 
 def test_ppt_solve_iteration_counts(four_bell_curve, three_bell_points, ydy_ppt, domino_ppt):
-    # The predictor-corrector takes 7-12 iterations on each of these (12 for
+    # The predictor-corrector takes 8-12 iterations on each of these (12 for
     # bell3 at eps = 0.33, next to the kink at 1/3); the fixed-sigma
-    # direction it replaced took 16-27. The counts depend on BLAS roundoff:
-    # with one OpenBLAS thread, bell4 at eps = 0.8 takes 16, because its
-    # primal residual jumps to 7e-8 once mu is near 1e-12.
+    # direction it replaced took 16-27. Each ends on the DEFAULT_* test, not
+    # on the stall exit, which would stop at the looser ACCEPT_* accuracy.
     solutions = {f"bell4 eps={eps}": r for eps, (r, _) in four_bell_curve.items()}
     solutions.update({f"bell3 eps={eps}": r for eps, (r, _) in three_bell_points.items()})
     solutions.update(ydy=ydy_ppt, domino=domino_ppt)
     counts = {name: r.solution.iterations for name, r in solutions.items()}
     assert max(counts.values()) <= 12, counts
+    reasons = {name: r.solution.stop_reason for name, r in solutions.items()}
+    assert set(reasons.values()) == {"converged"}, reasons
 
 
 def test_criterion_8_property_suites(

@@ -71,9 +71,9 @@ def test_ppt_ydy(ydy_ppt):
 
 
 def test_ppt_tiles_psi_stalls_out_early():
-    # The tiles members plus their orthogonal state: the primal residual stops
-    # improving near 1e-8, so the solve ends on the stall exit, not after
-    # MAX_ITERATIONS.
+    # The tiles members plus their orthogonal state: the primal residual
+    # climbs to about 1e-7, falls back to a few 1e-9 and stops improving
+    # there, so the solve ends on the stall exit, not after MAX_ITERATIONS.
     r = optimal_ppt(catalog("tiles_psi"))
     sol = r.solution
     assert sol.status == "optimal"
