@@ -1,11 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 (run with `pytest -s tests/test_acceptance.py` to see them live)."""
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import sepdisc
 from feng_fixture import EXPECTED_REPLACEMENTS
 from sepdisc.certificates import (
     DEFAULT_SEED,
@@ -248,6 +252,27 @@ def test_ppt_solve_iteration_counts(four_bell_curve, three_bell_points, ydy_ppt,
     assert max(counts.values()) <= 12, counts
     reasons = {name: r.solution.stop_reason for name, r in solutions.items()}
     assert set(reasons.values()) == {"converged"}, reasons
+
+
+def test_ppt_iteration_count_on_one_blas_thread():
+    # Where a solve stops depends on BLAS roundoff, which depends on the
+    # thread count. Before the Schur solve was refined against the applied
+    # operator, bell4 x tau(0.8) took 16 iterations on one OpenBLAS thread
+    # and 9 on two, because its primal residual jumped to 7e-8.
+    code = (
+        "from sepdisc.discrimination import optimal_ppt\n"
+        "from sepdisc.states import catalog, extend_ensemble\n"
+        "s = optimal_ppt(extend_ensemble(catalog('bell4'), 0.8)).solution\n"
+        "print(s.iterations, s.stop_reason)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sepdisc.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    iterations, reason = out.stdout.split()
+    assert int(iterations) <= 12 and reason == "converged", out.stdout
 
 
 def test_criterion_8_property_suites(
