@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,15 +271,21 @@ class ConeSearchReport:
         return self.min_overlap < -REFUTATION_TOL
 
 
+@lru_cache(maxsize=8)
 def _initial_directions(dim: int, restarts: int, seed: int) -> np.ndarray:
     """Per-restart unit vectors from independently seeded generators, so a
-    parallel or batched run reproduces the sequential one exactly."""
+    parallel or batched run reproduces the sequential one exactly.
+
+    Drawn once per (dim, restarts, seed) and shared by every later search
+    with that key, so the array is read-only; callers copy it to update it.
+    """
     out = np.empty((restarts, dim), dtype=complex)
     for r in range(restarts):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r))))
         raw = rng.standard_normal(2 * dim)
         y = raw[:dim] + 1j * raw[dim:]
         out[r] = y / np.linalg.norm(y)
+    out.flags.writeable = False
     return out
 
 
@@ -295,12 +302,17 @@ def block_positivity_search(
     Each alternation fixes one side and takes the minimum eigenvector of the
     compressed operator on the other; the overlap is nonincreasing, restarts
     run in lockstep, and everything is deterministic given (restarts, seed).
+    Raises ValueError unless restarts >= 1 and seed >= 0.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     h = require_hermitian(space.check_operator(h))
     nx, ny = space.dim_x, space.dim_y
     h4 = h.reshape(nx, ny, nx, ny)
 
-    ys = _initial_directions(ny, restarts, seed)
+    ys = _initial_directions(ny, restarts, seed).copy()
     xs = np.zeros((restarts, nx), dtype=complex)
     vals = np.full(restarts, np.inf)
     iters = np.zeros(restarts, dtype=int)

@@ -162,7 +162,10 @@ def _resolve_ensemble(args) -> Ensemble:
     else:
         ens = load_ensemble(name)
     if args.prior is not None:
-        probs = np.asarray([float(t) for t in args.prior.split(",")], dtype=float)
+        try:
+            probs = np.asarray([float(t) for t in args.prior.split(",")], dtype=float)
+        except ValueError as exc:
+            raise InputError(f"bad --prior value {args.prior!r}") from exc
         if probs.size != len(ens):
             raise InputError(f"prior needs {len(ens)} entries, got {probs.size}")
         try:
@@ -211,6 +214,14 @@ def _search_payload(report) -> dict:
     }
 
 
+def _search(h, space, args):
+    """The see-saw search under the --restarts and --seed flags."""
+    try:
+        return block_positivity_search(h, space, args.restarts, args.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def cmd_certify(args) -> tuple[dict, int]:
     name = args.name
     if name in ("bell3", "bell4") and args.epsilon is None:
@@ -222,9 +233,7 @@ def cmd_certify(args) -> tuple[dict, int]:
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         space = BipartiteSpace(4, 4, (2, 2), (2, 2))
-        searches = [
-            block_positivity_search(q, space, args.restarts, args.seed) for q in slacks
-        ]
+        searches = [_search(q, space, args) for q in slacks]
         conj2, conj3 = three_bell_slack_conjugations(args.epsilon)
         outputs = {
             "claimed_trace": cert.claimed_value,
@@ -267,11 +276,7 @@ def cmd_certify(args) -> tuple[dict, int]:
             witness = breuer_hall_witness(u, v)
             diff = cert.matrix - ens.states[k] / 4.0 - witness / 16.0
             identity_residuals.append(float(np.abs(diff).max()))
-            searches.append(
-                block_positivity_search(
-                    cert.matrix - ens.states[k] / 4.0, ens.space, args.restarts, args.seed
-                )
-            )
+            searches.append(_search(cert.matrix - ens.states[k] / 4.0, ens.space, args))
         outputs = {
             "claimed_trace": cert.claimed_value,
             "skew_symmetry_residuals": skew_residuals,
@@ -357,9 +362,7 @@ def cmd_ups(args) -> tuple[dict, int]:
             raise InputError(str(exc)) from exc
         n = len(ups_set)
         slack = report.certificate.matrix - projector(z) / (n + 1)
-        search = block_positivity_search(
-            slack * (n + 1), ups_set.space, args.restarts, args.seed
-        )
+        search = _search(slack * (n + 1), ups_set.space, args)
         outputs = {
             "lambda": lam,
             "delta": report.delta,

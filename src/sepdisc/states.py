@@ -131,6 +131,8 @@ class Ensemble:
         probs = np.asarray(self.probs, dtype=float)
         if len(states) != probs.size:
             raise ValueError("states and probs must have equal length")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probs must be finite")
         if probs.min(initial=0.0) < -PROB_TOL or abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValueError("probs must be nonnegative and sum to 1")
         for rho in states:

@@ -112,21 +112,33 @@ def replacement_projections(s: UPSet) -> ReplacementSet:
     the X-side null space of {u_j : j in S} and the Y-side null space of
     {v_j : j not in S} can both be nonzero only if both are one-dimensional
     (anything larger would extend the set), and then the candidate is unique.
-    Candidates are deduplicated under the global phase convention.
+    Candidates are deduplicated under the global phase convention. A subset
+    recurs under every k outside it, so each side's null space is computed
+    once per subset and reused.
     """
     _check_cap(s)
     n = len(s)
+    null_spaces: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+
+    def null_space(side: str, subset: tuple[int, ...]) -> np.ndarray:
+        key = (side, subset)
+        if key not in null_spaces:
+            dim = s.space.dim_x if side == "x" else s.space.dim_y
+            vectors = [getattr(s.members[j], side) for j in subset]
+            null_spaces[key] = orthogonal_complement(vectors, dim)
+        return null_spaces[key]
+
     per_index: list[tuple[ProductVector, ...]] = []
     for k in range(n):
         others = [j for j in range(n) if j != k]
         found: list[ProductVector] = []
         for mask in range(2 ** len(others)):
-            x_side = [s.members[j].x for i, j in enumerate(others) if (mask >> i) & 1]
-            y_side = [s.members[j].y for i, j in enumerate(others) if not (mask >> i) & 1]
-            nx = orthogonal_complement(x_side, s.space.dim_x)
+            x_side = tuple(j for i, j in enumerate(others) if (mask >> i) & 1)
+            y_side = tuple(j for i, j in enumerate(others) if not (mask >> i) & 1)
+            nx = null_space("x", x_side)
             if nx.shape[1] == 0:
                 continue
-            ny = orthogonal_complement(y_side, s.space.dim_y)
+            ny = null_space("y", y_side)
             if ny.shape[1] == 0:
                 continue
             if nx.shape[1] > 1 or ny.shape[1] > 1:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sepdisc.certificates import (
+    _initial_directions,
     adjugate_map,
     block_positivity_search,
     breuer_hall_witness,
@@ -274,3 +275,36 @@ def test_search_min_never_increases_with_restarts():
     ]
     assert mins[1] <= mins[0] + 1e-15
     assert mins[2] <= mins[1] + 1e-15
+
+
+def test_initial_directions_are_read_only():
+    dirs = _initial_directions(3, 10, 5)
+    assert not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.0
+
+
+def test_search_leaves_cached_directions_unchanged():
+    h = 0.4 * np.eye(4, dtype=complex) - projector(bell(1))
+    _initial_directions.cache_clear()
+    a = block_positivity_search(h, SP22, restarts=30, seed=11)
+    cached = _initial_directions(2, 30, 11)
+    before = cached.tobytes()
+    b = block_positivity_search(h, SP22, restarts=30, seed=11)
+    assert _initial_directions.cache_info().misses == 1
+    assert cached.tobytes() == before
+    assert a.min_overlap == b.min_overlap
+    assert a.iterations_per_restart == b.iterations_per_restart
+    assert a.witness.x.tobytes() == b.witness.x.tobytes()
+    assert a.witness.y.tobytes() == b.witness.y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "restarts, seed, message",
+    [(0, 1, "restarts must be at least 1"), (-5, 1, "restarts"), (10, -1, "seed must be nonnegative")],
+)
+def test_search_rejects_bad_restarts_and_seed(restarts, seed, message):
+    _initial_directions.cache_clear()
+    with pytest.raises(ValueError, match=message):
+        block_positivity_search(np.eye(4, dtype=complex), SP22, restarts=restarts, seed=seed)
+    assert _initial_directions.cache_info().currsize == 0

@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from sepdisc.certificates import _initial_directions
 from sepdisc.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -80,6 +82,19 @@ def test_discriminate_prior(tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "prior, message",
+    [
+        ("a,b,c,d", "bad --prior value 'a,b,c,d'"),
+        ("0.25,0.25,0.25,nan", "probs must be finite"),
+    ],
+)
+def test_discriminate_rejects_bad_prior(tmp_path, capsys, prior, message):
+    code, report = run(tmp_path, "discriminate", "bell4", "--class", "ppt", "--prior", prior)
+    assert code == EXIT_INPUT and report is None
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_epsilon_only_for_bell_families(tmp_path):
     code, _ = run(tmp_path, "discriminate", "ydy", "--epsilon", "0.5")
     assert code == EXIT_INPUT
@@ -128,6 +143,36 @@ def test_certify_ydy_deterministic(tmp_path):
     assert rep1["outputs"] == rep2["outputs"]
     assert rep1["outputs"]["claimed_trace"] == 0.75
     assert max(rep1["outputs"]["skew_symmetry_residuals"]) <= 1e-12
+
+
+def test_certify_ydy_cold_and_warm_direction_cache(tmp_path):
+    _initial_directions.cache_clear()
+    code1, rep1 = run(tmp_path, "certify", "ydy")
+    assert _initial_directions.cache_info().misses == 1
+    code2, rep2 = run(tmp_path, "certify", "ydy")
+    assert _initial_directions.cache_info().misses == 1
+    assert code1 == code2 == EXIT_OK
+    assert json.dumps(rep1["outputs"]) == json.dumps(rep2["outputs"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "bell3", "--epsilon", "0.5", "--restarts", "0"],
+         "restarts must be at least 1, got 0"),
+        (["certify", "bell3", "--epsilon", "0.5", "--restarts", "-5"],
+         "restarts must be at least 1, got -5"),
+        (["certify", "bell3", "--epsilon", "0.5", "--seed", "-1"],
+         "seed must be nonnegative, got -1"),
+        (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--restarts", "0"],
+         "restarts must be at least 1, got 0"),
+    ],
+)
+def test_see_saw_flags_rejected(tmp_path, capsys, argv, message):
+    # exit 2 with a one-line message and no traceback
+    code, report = run(tmp_path, *argv)
+    assert code == EXIT_INPUT and report is None
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_ups_check_and_enumerate(tmp_path):

@@ -132,6 +132,8 @@ def test_ensemble_validation():
         Ensemble(space, (2 * good,), np.array([1.0]))  # trace 2
     with pytest.raises(ValueError):
         Ensemble(space, (good - 0.5 * np.eye(4),), np.array([1.0]))  # not PSD
+    with pytest.raises(ValueError, match="finite"):
+        Ensemble(space, (good, good), np.array([1.0, np.nan]))  # NaN fails both bounds
 
 
 def test_reorder_unitary_is_involution():

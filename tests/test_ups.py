@@ -3,9 +3,10 @@ import pytest
 
 from feng_fixture import EXPECTED_REPLACEMENTS
 from sepdisc.conesolve import verify_farkas
-from sepdisc.linalg import BipartiteSpace
-from sepdisc.states import ProductVector, catalog, projector, tiles_orthogonal_state
+from sepdisc.linalg import BipartiteSpace, orthogonal_complement
+from sepdisc.states import ProductVector, catalog, fix_phase, projector, tiles_orthogonal_state
 from sepdisc.ups import (
+    DEDUP_OVERLAP,
     UPSet,
     is_unextendable,
     min_product_overlap,
@@ -93,6 +94,42 @@ def test_replacement_matches_frozen_feng_lists():
                 for cu, cv in expected
             )
             assert best >= 1 - 1e-9
+
+
+def reference_replacements(s):
+    """Replacement enumeration with both null spaces recomputed for every
+    (k, subset), vectors passed in increasing member order."""
+    n = len(s)
+    per_index = []
+    for k in range(n):
+        others = [j for j in range(n) if j != k]
+        found = []
+        for mask in range(2 ** len(others)):
+            x_side = [s.members[j].x for i, j in enumerate(others) if (mask >> i) & 1]
+            y_side = [s.members[j].y for i, j in enumerate(others) if not (mask >> i) & 1]
+            nx = orthogonal_complement(x_side, s.space.dim_x)
+            if nx.shape[1] == 0:
+                continue
+            ny = orthogonal_complement(y_side, s.space.dim_y)
+            if ny.shape[1] == 0:
+                continue
+            cand = ProductVector(fix_phase(nx[:, 0]), fix_phase(ny[:, 0]))
+            if all(cand.overlap(prev) <= DEDUP_OVERLAP for prev in found):
+                found.append(cand)
+        per_index.append(found)
+    return per_index
+
+
+@pytest.mark.parametrize("name", ["tiles", "feng"])
+def test_replacement_null_space_reuse_is_bitwise_identical(name):
+    s = catalog(name)
+    got = replacement_projections(s).per_index
+    want = reference_replacements(s)
+    assert [len(lst) for lst in got] == [len(lst) for lst in want]
+    for got_k, want_k in zip(got, want):
+        for g, w in zip(got_k, want_k):
+            assert g.x.tobytes() == w.x.tobytes()
+            assert g.y.tobytes() == w.y.tobytes()
 
 
 def test_replacement_rejects_extendable_input():
