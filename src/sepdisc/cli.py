@@ -77,7 +77,16 @@ def encode_vector(v) -> list:
     return [[float(c.real), float(c.imag)] for c in np.asarray(v, dtype=complex)]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def decode_vector(data) -> np.ndarray:
+    """Complex vector from a list of [re, im] number pairs; InputError otherwise."""
+    if not isinstance(data, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in data
+    ):
+        raise InputError("expected a list of [re, im] number pairs")
     return np.array([complex(re, im) for re, im in data], dtype=complex)
 
 
@@ -86,6 +95,9 @@ def encode_matrix(m) -> list:
 
 
 def decode_matrix(data) -> np.ndarray:
+    """Complex matrix from a list of rows of [re, im] number pairs."""
+    if not isinstance(data, list):
+        raise InputError("expected a list of rows of [re, im] number pairs")
     return np.array([decode_vector(row) for row in data], dtype=complex)
 
 
@@ -101,33 +113,44 @@ def _decode_space(data) -> BipartiteSpace:
         raise InputError(f"bad space header: {exc}") from exc
 
 
-def load_ensemble(path: str) -> Ensemble:
+def _load_json(path: str, kind: str | None = None):
+    """The JSON value in ``path``; with ``kind``, it must be an object whose
+    "kind" field is ``kind``."""
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("kind") != "ensemble":
-        raise InputError(f"{path}: expected kind 'ensemble'")
-    space = _decode_space(data["space"])
+    if kind is not None and (not isinstance(data, dict) or data.get("kind") != kind):
+        raise InputError(f"{path}: expected a JSON object of kind {kind!r}")
+    return data
+
+
+def load_ensemble(path: str) -> Ensemble:
+    data = _load_json(path, "ensemble")
     try:
+        space = _decode_space(data["space"])
         states = tuple(decode_matrix(s) for s in data["states"])
         probs = np.asarray(data["probs"], dtype=float)
         return Ensemble(space, states, probs)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 def load_product_set(path: str) -> UPSet:
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("kind") != "product_set":
-        raise InputError(f"{path}: expected kind 'product_set'")
-    space = _decode_space(data["space"])
+    data = _load_json(path, "product_set")
     try:
+        space = _decode_space(data["space"])
         members = tuple(
             ProductVector(decode_vector(m["x"]), decode_vector(m["y"]))
             for m in data["members"]
         )
         return UPSet(space, members)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def load_vector(path: str) -> np.ndarray:
+    try:
+        return decode_vector(_load_json(path))
+    except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -350,8 +373,7 @@ def cmd_ups(args) -> tuple[dict, int]:
             except ValueError as exc:
                 raise InputError(f"bad --lambda value {args.lam!r}") from exc
         if args.z is not None:
-            with open(args.z) as fh:
-                z = decode_vector(json.load(fh))
+            z = load_vector(args.z)
         elif name == "tiles":
             z = tiles_orthogonal_state()
         else:

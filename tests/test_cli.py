@@ -8,6 +8,7 @@ from sepdisc.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REFUTED,
+    InputError,
     decode_matrix,
     decode_vector,
     encode_matrix,
@@ -173,6 +174,61 @@ def test_see_saw_flags_rejected(tmp_path, capsys, argv, message):
     code, report = run(tmp_path, *argv)
     assert code == EXIT_INPUT and report is None
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _bare_number_ensemble(path):
+    save_ensemble(str(path), catalog("bell3"))
+    data = json.loads(path.read_text())
+    data["states"][0] = [[1.0, 0.0, 0.0, 0.0]] * 4  # rows of numbers, not pairs
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--z", "{path}"],
+         [1, 2], "expected a list of [re, im] number pairs"),
+        (["ups", "{path}", "--action", "check"],
+         [[1, 2]], "expected a JSON object of kind 'product_set'"),
+        (["discriminate", "{path}", "--class", "global"],
+         [[1, 2]], "expected a JSON object of kind 'ensemble'"),
+        (["discriminate", "{path}", "--class", "global"],
+         None, "expected a list of [re, im] number pairs"),
+        (["discriminate", "{path}", "--class", "global"],
+         {"kind": "ensemble", "states": [], "probs": []}, "'space'"),
+        (["ups", "{path}", "--action", "check"],
+         {"kind": "product_set", "space": {"dim_x": 3, "dim_y": 3}, "members": 5},
+         "'int' object is not iterable"),
+    ],
+    ids=["ups-bound-z", "ups-check", "discriminate-list", "discriminate-bare-rows",
+         "discriminate-no-space", "ups-members-number"],
+)
+def test_malformed_json_input_rejected(tmp_path, capsys, argv, content, message):
+    # exit 2 with a one-line message and no traceback
+    path = tmp_path / "input.json"
+    if content is None:
+        _bare_number_ensemble(path)
+    else:
+        path.write_text(json.dumps(content))
+    code, report = run(tmp_path, *(a.format(path=path) for a in argv))
+    assert code == EXIT_INPUT and report is None
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[1, 2], [[1]], [[1, 2, 3]], [["1", 2]], [[True, 0]], [[1, None]], {"re": 1}, 3],
+)
+def test_decode_vector_rejects_non_pairs(data):
+    with pytest.raises(InputError):
+        decode_vector(data)
+    with pytest.raises(InputError):
+        decode_matrix([data])
+
+
+def test_decode_matrix_rejects_non_list():
+    with pytest.raises(InputError):
+        decode_matrix({"rows": [[1.0, 0.0]]})
 
 
 def test_ups_check_and_enumerate(tmp_path):

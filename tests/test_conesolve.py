@@ -16,7 +16,9 @@ from sepdisc.conesolve import (
     verify_farkas,
     weak_duality_ok,
 )
-from sepdisc.linalg import herm_to_coords, hermitian_basis_matrix
+from sepdisc.discrimination import optimal_global, optimal_ppt
+from sepdisc.linalg import coords_to_herm, herm_to_coords, hermitian_basis_matrix
+from sepdisc.states import catalog, extend_ensemble
 
 
 def forced_point_problem():
@@ -138,12 +140,28 @@ def _random_psd(rng, d):
     return g @ g.conj().T / d + np.eye(d)
 
 
+def _dense_schur_block(x, zinv):
+    t = hermitian_basis_matrix(x.shape[0])
+    return (t.conj().T @ np.kron(x, zinv.T) @ t).real
+
+
 def test_schur_block_matches_dense_reference(rng):
     for d in (1, 2, 3, 9, 16):
         x, zinv = _random_psd(rng, d), _random_psd(rng, d)
-        t = hermitian_basis_matrix(d)
-        dense = (t.conj().T @ np.kron(x, zinv.T) @ t).real
-        assert np.abs(_schur_block(x, zinv) - dense).max() <= 1e-12
+        got = _schur_block(x, zinv, {})
+        assert np.abs(got - _dense_schur_block(x, zinv)).max() <= 1e-12
+
+
+def test_schur_block_workspace_shared_across_sizes(rng):
+    # One workspace serves every block size; each result is consumed before
+    # the next call, as in the solver.
+    work = {}
+    for d in (16, 9, 16, 1):
+        x, zinv = _random_psd(rng, d), _random_psd(rng, d)
+        got = _schur_block(x, zinv, work)
+        assert got.shape == (d * d, d * d)
+        assert np.abs(got - _dense_schur_block(x, zinv)).max() <= 1e-12
+    assert sorted(work) == [1, 9, 16]
 
 
 def test_schur_assembly_matches_dense_reference(rng):
@@ -167,6 +185,7 @@ def test_schur_assembly_matches_dense_reference(rng):
         single[touched, sl.start + rng.integers(0, size, touched.sum())] = rng.choice(
             [-1.0, 1.0], touched.sum()
         )
+    work = {}  # shared by both row sets, as by every block of one solve
     for c_rows in (rows, single):
         w_blocks = []
         for d in dims:
@@ -174,16 +193,66 @@ def test_schur_assembly_matches_dense_reference(rng):
             w_blocks.append(g + g.T)
         gathers = _block_gathers(c_rows, slices)
         assert all(g is not None for g in gathers)
-        got = np.zeros((m, m))
+        m_flat = np.zeros(m * m)
         dense = np.zeros((m, m))
         for w, g, sl in zip(w_blocks, gathers, slices):
-            _add_schur_term(got.reshape(-1), w, *g)
+            _add_schur_term(m_flat, w, *g, work)
             dense += c_rows[:, sl] @ w @ c_rows[:, sl].T
+        got = m_flat.reshape(m, m).T  # the destinations are column-major
         if c_rows is rows:
             assert np.abs(got - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
         else:
             assert all(g[0].shape[1] == 1 for g in gathers)
             assert np.array_equal(got, dense)
+
+
+def test_newton_solve_gets_f_contiguous_dense_schur_matrix(rng, monkeypatch):
+    # Strictly feasible random starts fix the first iterate, so the first
+    # Schur matrix can be rebuilt densely from X_0 and Z_0.
+    dims = (3, 2, 1)
+    slices = [slice(0, 9), slice(9, 13), slice(13, 14)]
+    m = 7
+    rows = rng.standard_normal((m, 14))
+    x0 = [_random_psd(rng, d) for d in dims]
+    z0 = [_random_psd(rng, d) for d in dims]
+    y0 = rng.standard_normal(m)
+    a_coords = rows.T @ y0 - np.concatenate([herm_to_coords(z) for z in z0])
+    prob = SDPProblem(
+        block_dims=dims,
+        objective=tuple(coords_to_herm(a_coords[sl], d) for sl, d in zip(slices, dims)),
+        rows=rows,
+        rhs=rows @ np.concatenate([herm_to_coords(x) for x in x0]),
+        primal_start=tuple(x0),
+        dual_start=y0,
+    )
+    seen = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        if a.shape == (m, m) and not np.iscomplexobj(a):
+            seen.append((a.flags.f_contiguous, a.copy()))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    sol = solve_sdp(prob)
+    monkeypatch.undo()
+    assert sol.status == "optimal"
+    assert seen and all(f_contiguous for f_contiguous, _ in seen)
+    dense = sum(
+        rows[:, sl] @ _dense_schur_block(x, np.linalg.inv(z)) @ rows[:, sl].T
+        for x, z, sl in zip(x0, z0, slices)
+    )
+    assert np.abs(seen[0][1] - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
+
+
+def test_no_workspace_state_leaks_between_solves():
+    first = optimal_ppt(catalog("bell4"))  # 4-dimensional blocks
+    optimal_global(extend_ensemble(catalog("bell4"), 0.6))  # 16-dimensional blocks
+    again = optimal_ppt(catalog("bell4"))
+    a, b = first.solution, again.solution
+    assert a.log == b.log
+    for u, v in zip(a.x_blocks + a.z_blocks + [a.y], b.x_blocks + b.z_blocks + [b.y]):
+        assert u.tobytes() == v.tobytes()
 
 
 def test_dual_certificate_trace():
