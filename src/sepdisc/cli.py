@@ -36,6 +36,7 @@ from .discrimination import (
     four_bell_value,
     optimal_global,
     optimal_ppt,
+    sep_bound_from_certificate,
     three_bell_value,
 )
 from .linalg import BipartiteSpace, PAULI, kron
@@ -50,6 +51,7 @@ from .states import (
     ydy_unitaries,
 )
 from .ups import (
+    ProductSetError,
     UPSet,
     is_unextendable,
     replacement_projections,
@@ -245,73 +247,73 @@ def _search(h, space, args):
         raise InputError(str(exc)) from exc
 
 
+def _bell3_certificate(eps: float):
+    cert, _ = three_bell_resource_certificate(eps)
+    return extend_ensemble(catalog("bell3"), eps), cert, {
+        "trace_formula_residual": abs(cert.claimed_value - three_bell_value(eps)),
+        "conjugation_residuals": list(three_bell_slack_conjugations(eps)),
+        "map_link_residual": three_bell_slack_map_residual(eps),
+    }
+
+
+def _bell4_certificate(eps: float):
+    # No ensemble: the PPT margins of the transposed slacks decide the outcome.
+    cert = four_bell_resource_certificate(eps)
+    return None, cert, {
+        "trace_formula_residual": abs(cert.claimed_value - four_bell_value(eps)),
+        "transposed_slack_min_eigenvalues": four_bell_certificate_psd_margins(eps),
+    }
+
+
+def _ydy_certificate(_):
+    cert, ens, us = ydy_certificate(), catalog("ydy"), ydy_unitaries()
+    v = 1j * kron(PAULI[2], PAULI[3])
+    skews = [v.T @ u for u in us]
+    diffs = [
+        cert.matrix - p * rho - breuer_hall_witness(u, v) / 16.0
+        for u, p, rho in zip(us, ens.probs, ens.states)
+    ]
+    return ens, cert, {
+        "skew_symmetry_residuals": [float(np.abs(w.T + w).max()) for w in skews],
+        "witness_identity_residuals": [float(np.abs(w).max()) for w in diffs],
+    }
+
+
+# name -> (takes --epsilon, builder of (ensemble, certificate, exact-identity
+# checks)). A certificate with an ensemble is scored by the see-saw searches
+# of sep_bound_from_certificate; one without by its checks alone.
+CERTIFICATES = {
+    "bell3": (True, _bell3_certificate),
+    "bell4": (True, _bell4_certificate),
+    "ydy": (False, _ydy_certificate),
+}
+
+
 def cmd_certify(args) -> tuple[dict, int]:
     name = args.name
-    if name in ("bell3", "bell4") and args.epsilon is None:
+    takes_epsilon, build = CERTIFICATES[name]
+    if takes_epsilon and args.epsilon is None:
         raise InputError(f"certify {name} requires --epsilon")
+    if not takes_epsilon and args.epsilon is not None:
+        raise InputError(f"certify {name} takes no --epsilon")
+    try:
+        ens, cert, checks = build(args.epsilon)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
-    if name == "bell3":
+    outputs = {"claimed_trace": cert.claimed_value, **checks}
+    if ens is None:
+        refuted = min(checks["transposed_slack_min_eigenvalues"]) < -1e-10
+    else:
         try:
-            cert, slacks = three_bell_resource_certificate(args.epsilon)
+            score = sep_bound_from_certificate(ens, cert, args.restarts, args.seed)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        space = BipartiteSpace(4, 4, (2, 2), (2, 2))
-        searches = [_search(q, space, args) for q in slacks]
-        conj2, conj3 = three_bell_slack_conjugations(args.epsilon)
-        outputs = {
-            "claimed_trace": cert.claimed_value,
-            "trace_formula_residual": abs(cert.claimed_value - three_bell_value(args.epsilon)),
-            "conjugation_residuals": [conj2, conj3],
-            "map_link_residual": three_bell_slack_map_residual(args.epsilon),
-            "searches": [_search_payload(r) for r in searches],
-            "certificate": {"cone": cert.cone_tag, "matrix": encode_matrix(cert.matrix)},
-        }
-        refuted = any(r.refuted for r in searches)
-        outputs["outcome"] = "refuted" if refuted else "unrefuted"
-        return outputs, EXIT_REFUTED if refuted else EXIT_OK
-
-    if name == "bell4":
-        try:
-            cert = four_bell_resource_certificate(args.epsilon)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        margins = four_bell_certificate_psd_margins(args.epsilon)
-        outputs = {
-            "claimed_trace": cert.claimed_value,
-            "trace_formula_residual": abs(cert.claimed_value - four_bell_value(args.epsilon)),
-            "transposed_slack_min_eigenvalues": margins,
-            "certificate": {"cone": cert.cone_tag, "matrix": encode_matrix(cert.matrix)},
-        }
-        refuted = min(margins) < -1e-10
-        outputs["outcome"] = "refuted" if refuted else "unrefuted"
-        return outputs, EXIT_REFUTED if refuted else EXIT_OK
-
-    if name == "ydy":
-        cert = ydy_certificate()
-        v = 1j * kron(PAULI[2], PAULI[3])
-        skew_residuals = []
-        identity_residuals = []
-        searches = []
-        ens = catalog("ydy")
-        for k, u in enumerate(ydy_unitaries()):
-            skew = v.T @ u
-            skew_residuals.append(float(np.abs(skew.T + skew).max()))
-            witness = breuer_hall_witness(u, v)
-            diff = cert.matrix - ens.states[k] / 4.0 - witness / 16.0
-            identity_residuals.append(float(np.abs(diff).max()))
-            searches.append(_search(cert.matrix - ens.states[k] / 4.0, ens.space, args))
-        outputs = {
-            "claimed_trace": cert.claimed_value,
-            "skew_symmetry_residuals": skew_residuals,
-            "witness_identity_residuals": identity_residuals,
-            "searches": [_search_payload(r) for r in searches],
-            "certificate": {"cone": cert.cone_tag, "matrix": encode_matrix(cert.matrix)},
-        }
-        refuted = any(r.refuted for r in searches)
-        outputs["outcome"] = "refuted" if refuted else "unrefuted"
-        return outputs, EXIT_REFUTED if refuted else EXIT_OK
-
-    raise InputError(f"unknown certificate name {name!r}")
+        outputs["searches"] = [_search_payload(r) for r in score.reports]
+        refuted = not score.unrefuted
+    outputs["certificate"] = {"cone": cert.cone_tag, "matrix": encode_matrix(cert.matrix)}
+    outputs["outcome"] = "refuted" if refuted else "unrefuted"
+    return outputs, EXIT_REFUTED if refuted else EXIT_OK
 
 
 def _resolve_product_set(args) -> tuple[str, UPSet]:
@@ -322,11 +324,21 @@ def _resolve_product_set(args) -> tuple[str, UPSet]:
     return name, fam
 
 
+def _enumerating(algorithm, name: str, ups_set: UPSet):
+    """algorithm(ups_set) for an algorithm that enumerates member subsets. A
+    set it cannot take (too many members, or extendable where it must not
+    be) is bad input."""
+    try:
+        return algorithm(ups_set)
+    except ProductSetError as exc:
+        raise InputError(f"{name}: {exc}") from exc
+
+
 def cmd_ups(args) -> tuple[dict, int]:
     name, ups_set = _resolve_product_set(args)
 
     if args.action == "check":
-        report = is_unextendable(ups_set)
+        report = _enumerating(is_unextendable, name, ups_set)
         outputs = {"unextendable": report.unextendable}
         if report.witness is not None:
             outputs["witness_x"] = encode_vector(report.witness.x)
@@ -334,7 +346,7 @@ def cmd_ups(args) -> tuple[dict, int]:
         return outputs, EXIT_OK
 
     if args.action == "enumerate":
-        reps = replacement_projections(ups_set)
+        reps = _enumerating(replacement_projections, name, ups_set)
         outputs = {
             "counts": reps.counts,
             "per_index": [
@@ -345,7 +357,7 @@ def cmd_ups(args) -> tuple[dict, int]:
         return outputs, EXIT_OK
 
     if args.action == "separable":
-        report = separable_perfect_discrimination(ups_set)
+        report = _enumerating(separable_perfect_discrimination, name, ups_set)
         columns = [pv.projection for pv in report.replacements.all_vectors()]
         eye = np.eye(ups_set.space.total_dim, dtype=complex)
         outputs = {
@@ -429,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("certify", help="build and score a dual certificate")
-    p.add_argument("name", choices=("bell3", "bell4", "ydy"))
+    p.add_argument("name", choices=tuple(CERTIFICATES))
     p.add_argument("--epsilon", type=float)
     common(p)
     p.set_defaults(func=cmd_certify)

@@ -10,7 +10,10 @@ The program form is
 with all operators Hermitian and block diagonal. Constraints are carried as
 real coordinate rows in the fixed orthonormal Hermitian basis, which makes
 the whole problem a real optimization problem without a doubled real
-embedding.
+embedding. The rows must be linearly independent, as they are by
+construction in every PPT and global discrimination program; the solver
+does not reduce them. The LP front end is the one caller with dependent
+rows, and it drops them itself with one rank-revealing QR.
 
 Every iteration takes a Mehrotra predictor-corrector step on the HKM
 direction of primal-dual path following (Mehrotra, SIAM J. Optim. 2, 1992).
@@ -91,7 +94,7 @@ STOP_FACTORIZATION_FAILED = "factorization-failed"
 
 
 class IllPosedProblemError(ValueError):
-    """Constraints are inconsistent (a dependent row with a mismatched rhs)."""
+    """The constraint rows are linearly dependent."""
 
 
 class ConvergenceError(RuntimeError):
@@ -169,9 +172,10 @@ class SDPProblem:
 
     ``rows`` holds the constraint operators as real Hermitian-basis
     coordinates, one row per scalar equality; block coordinates are laid out
-    consecutively (d_b^2 reals per block). ``primal_start`` / ``dual_start``
-    are optional strictly feasible starting points; they are verified before
-    use and ignored if invalid.
+    consecutively (d_b^2 reals per block). The rows must be linearly
+    independent: :func:`solve_sdp` does not reduce them. ``primal_start`` /
+    ``dual_start`` are optional strictly feasible starting points; they are
+    verified before use and ignored if invalid.
     """
 
     block_dims: tuple[int, ...]
@@ -196,10 +200,6 @@ class SDPProblem:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
 
-    @property
-    def n_coords(self) -> int:
-        return sum(d * d for d in self.block_dims)
-
     def block_slices(self) -> list[slice]:
         out, ofs = [], 0
         for d in self.block_dims:
@@ -219,58 +219,9 @@ class SDPSolution:
     status: str
     iterations: int
     log: list[IterateRecord]
+    # Every row: solve_sdp drops none. Kept because perfbench/spans.py reads it.
     kept_rows: np.ndarray
     stop_reason: str
-
-
-# ---------------------------------------------------------------------------
-# Preprocessing
-# ---------------------------------------------------------------------------
-
-
-def independent_rows(rows: np.ndarray, tol: float = ROW_DROP_TOL) -> np.ndarray:
-    """Indices of a maximal linearly independent subset of rows, chosen
-    greedily in order (Gram-Schmidt semantics: a row is dropped when its
-    residual against the earlier kept rows falls below ``tol`` relative to
-    the row norm).
-
-    Works in chunks of n rows, n the number of coordinates: the diagonal of
-    an R-only QR factor of a chunk supplies the sequential residual norms,
-    and it covers at most n rows. When m <= n, as in every PPT and global
-    discrimination program, that is a single QR of all rows. Later chunks
-    are first projected off an orthonormal basis of the rows kept so far.
-    """
-    m, n = rows.shape
-    block = max(1, n)
-    q = np.zeros((0, n))
-    kept: list[int] = []
-    for start in range(0, m, block):
-        chunk = rows[start : start + block]
-        if q.shape[0]:
-            chunk = chunk - (chunk @ q.T) @ q
-            chunk -= (chunk @ q.T) @ q
-        resid = np.abs(np.diag(np.linalg.qr(chunk.T, mode="r")))
-        scale = np.maximum(1.0, np.linalg.norm(rows[start : start + block], axis=1))
-        keep_local = np.flatnonzero(resid >= tol * scale)
-        kept.extend(int(start + j) for j in keep_local)
-        if keep_local.size and start + block < m:
-            q_new, _ = np.linalg.qr(chunk[keep_local].T)
-            q = np.vstack([q, q_new.T])
-    return np.asarray(kept, dtype=int)
-
-
-def _check_consistency(rows, rhs, kept, tol=1e-8) -> None:
-    dropped = np.setdiff1d(np.arange(rows.shape[0]), kept)
-    if dropped.size == 0:
-        return
-    coeff, *_ = np.linalg.lstsq(rows[kept].T, rows[dropped].T, rcond=None)
-    predicted = coeff.T @ rhs[kept]
-    scale = 1.0 + np.abs(rhs).max(initial=0.0)
-    worst = np.abs(predicted - rhs[dropped]).max(initial=0.0)
-    if worst > tol * scale:
-        raise IllPosedProblemError(
-            f"dependent constraint with inconsistent rhs (mismatch {worst:.3e})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +396,12 @@ def _verify_primal_start(problem, c_rows, b) -> tuple[list[np.ndarray], bool]:
     return blocks, True
 
 
-def _verify_dual_start(problem, c_rows, kept, slices) -> tuple[np.ndarray, list[np.ndarray], bool]:
+def _verify_dual_start(problem, c_rows, slices) -> tuple[np.ndarray, list[np.ndarray], bool]:
     if problem.dual_start is None:
         return np.zeros(0), [], False
-    y_full = np.asarray(problem.dual_start, dtype=float)
-    if y_full.size != problem.rows.shape[0]:
+    y = np.array(problem.dual_start, dtype=float)
+    if y.size != c_rows.shape[0]:
         return np.zeros(0), [], False
-    if kept.size == problem.rows.shape[0]:
-        y = y_full.copy()
-    else:
-        # Project the intended dual slack onto the kept rows.
-        target = problem.rows.T @ y_full
-        y, *_ = np.linalg.lstsq(c_rows.T, target, rcond=None)
     slack = c_rows.T @ y - _coords_of_blocks(problem.objective)
     z = _blocks_from_coords(slack, problem.block_dims, slices)
     if any(_chol_or_none(zb) is None for zb in z):
@@ -495,19 +440,19 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     Sigma is 1 once mu and the gap meet ``DEFAULT_*``. A third solve refines
     dy when the direction's primal defect exceeds ``REFINE_TOL``.
 
-    Deterministic: identical inputs produce identical iterate logs. Raises
-    IllPosedProblemError for inconsistent constraints; non-convergence is
-    reported through ``status`` rather than an exception, and
-    ``stop_reason`` says why the iteration ended.
+    The rows must be linearly independent. At the first iterate X and Z^-1
+    are positive definite, so the Schur matrix is singular there exactly
+    when the rows are dependent, and that raises IllPosedProblemError. A
+    nearly dependent row set that still factors shows up in the primal
+    residual, which is measured over every row, and so in ``status``.
+
+    Deterministic: identical inputs produce identical iterate logs.
+    Non-convergence is reported through ``status`` rather than an
+    exception, and ``stop_reason`` says why the iteration ended.
     """
     dims = problem.block_dims
     slices = problem.block_slices()
-    kept = independent_rows(problem.rows)
-    _check_consistency(problem.rows, problem.rhs, kept)
-    if kept.size == problem.rows.shape[0]:
-        c_rows, b = problem.rows, problem.rhs
-    else:
-        c_rows, b = problem.rows[kept], problem.rhs[kept]
+    c_rows, b = problem.rows, problem.rhs
     a_blocks = list(problem.objective)
     a_coords = _coords_of_blocks(a_blocks)
     gathers = _block_gathers(c_rows, slices)
@@ -519,7 +464,7 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     work: dict = {}
 
     x_blocks, have_primal = _verify_primal_start(problem, c_rows, b)
-    y, z_blocks, have_dual = _verify_dual_start(problem, c_rows, kept, slices)
+    y, z_blocks, have_dual = _verify_dual_start(problem, c_rows, slices)
     eta = 1.0 + float(np.linalg.norm(a_coords)) + float(np.abs(b).max(initial=0.0))
     if not have_primal:
         x_blocks = [eta * np.eye(d, dtype=complex) for d in dims]
@@ -588,6 +533,10 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
                 try:
                     return np.linalg.solve(m_mat, rhs_vec)
                 except np.linalg.LinAlgError:
+                    if it == 0:
+                        raise IllPosedProblemError("dependent constraint rows") from None
+                    # Later on, an exactly singular M is roundoff near the
+                    # optimum; a ridge of relative size 1e-14 gets past it.
                     ridge = 1e-14 * (1.0 + np.trace(m_mat) / b.size)
                     return np.linalg.solve(m_mat + ridge * np.eye(b.size), rhs_vec)
 
@@ -660,11 +609,9 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
         # solution tolerances.
         status = STATUS_OPTIMAL
 
-    y_full = np.zeros(problem.rows.shape[0])
-    y_full[kept] = y
     return SDPSolution(
         x_blocks=[_sym(x) for x in x_blocks],
-        y=y_full,
+        y=y,
         z_blocks=[_sym(z) for z in z_blocks],
         primal_value=last.primal,
         dual_value=last.dual,
@@ -672,7 +619,7 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
         status=status,
         iterations=it,
         log=records,
-        kept_rows=kept,
+        kept_rows=np.arange(b.size),
         stop_reason=stop_reason,
     )
 
@@ -692,6 +639,38 @@ class LPFeasibilityResult:
     farkas: np.ndarray | None
     phase1_value: float
     solution: SDPSolution
+
+
+def independent_rows(rows: np.ndarray, tol: float = ROW_DROP_TOL) -> np.ndarray:
+    """Indices of a maximal linearly independent subset of rows, chosen
+    greedily in order (Gram-Schmidt semantics: a row is dropped when its
+    residual against the earlier kept rows falls below ``tol`` relative to
+    the row norm).
+
+    The row reduction of :func:`solve_lp_feasibility`, whose d^2 rows, one
+    per Hermitian coordinate, usually outnumber its columns. Works in chunks
+    of n rows, n the number of coordinates: the diagonal of an R-only QR
+    factor of a chunk supplies the sequential residual norms, and it covers
+    at most n rows. Later chunks are first projected off an orthonormal basis
+    of the rows kept so far.
+    """
+    m, n = rows.shape
+    block = max(1, n)
+    q = np.zeros((0, n))
+    kept: list[int] = []
+    for start in range(0, m, block):
+        chunk = rows[start : start + block]
+        if q.shape[0]:
+            chunk = chunk - (chunk @ q.T) @ q
+            chunk -= (chunk @ q.T) @ q
+        resid = np.abs(np.diag(np.linalg.qr(chunk.T, mode="r")))
+        scale = np.maximum(1.0, np.linalg.norm(rows[start : start + block], axis=1))
+        keep_local = np.flatnonzero(resid >= tol * scale)
+        kept.extend(int(start + j) for j in keep_local)
+        if keep_local.size and start + block < m:
+            q_new, _ = np.linalg.qr(chunk[keep_local].T)
+            q = np.vstack([q, q_new.T])
+    return np.asarray(kept, dtype=int)
 
 
 def span_residual(columns: list[np.ndarray], target: np.ndarray) -> float:
@@ -737,22 +716,30 @@ def solve_lp_feasibility(
     artificial = tgt - sum(cols)
     col_coords = np.stack([herm_to_coords(c) for c in cols + [artificial]], axis=1)
     rhs = herm_to_coords(tgt)
+    # One row per coordinate of the d x d target against ncol + 1 columns:
+    # the rows are dependent, and solve_sdp takes only independent ones. The
+    # dropped rows are consistent, since the start (1, ..., 1) satisfies all.
+    kept = independent_rows(col_coords)
+    rows = col_coords[kept]
 
     objective = [np.zeros((1, 1), dtype=complex) for _ in range(ncol)]
     objective.append(-np.ones((1, 1), dtype=complex))
 
     # Dual start: slack from Y = c * identity is strictly positive when c is
-    # small against the artificial column's trace.
+    # small against the artificial column's trace. It is projected onto the
+    # kept rows when some are dropped.
     c0 = 1.0 / (2.0 * (1.0 + abs(float(np.trace(artificial).real))))
-    y_full = herm_to_coords(c0 * np.eye(d, dtype=complex))
+    y_start = herm_to_coords(c0 * np.eye(d, dtype=complex))
+    if kept.size < rhs.size:
+        y_start, *_ = np.linalg.lstsq(rows.T, col_coords.T @ y_start, rcond=None)
 
     problem = SDPProblem(
         block_dims=(1,) * (ncol + 1),
         objective=tuple(objective),
-        rows=col_coords,
-        rhs=rhs,
+        rows=rows,
+        rhs=rhs[kept],
         primal_start=tuple(np.ones((1, 1), dtype=complex) for _ in range(ncol + 1)),
-        dual_start=y_full,
+        dual_start=y_start,
     )
     sol = solve_sdp(problem)
     if sol.status != STATUS_OPTIMAL:
@@ -760,7 +747,9 @@ def solve_lp_feasibility(
 
     t_star = float(sol.x_blocks[-1][0, 0].real)
     if t_star > farkas_threshold:
-        w = coords_to_herm(sol.y, d)
+        y = np.zeros(rhs.size)
+        y[kept] = sol.y
+        w = coords_to_herm(y, d)
         w = w / np.linalg.norm(w)
         if not verify_farkas(cols, tgt, w):
             raise ConvergenceError(

@@ -80,11 +80,6 @@ def eig_hermitian(h: np.ndarray, rtol: float = HERMITICITY_RTOL) -> tuple[np.nda
     return np.linalg.eigh(h)
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(require_hermitian(h))[0])
-
-
 @dataclass(frozen=True)
 class BipartiteSpace:
     """Tensor-product space C^dim_x (x) C^dim_y with optional nested factors.

@@ -29,12 +29,6 @@ UNIT_TOL = 1e-12
 CATALOG_NAMES = ("bell3", "bell4", "ydy", "domino", "tiles", "feng", "tiles_psi")
 
 
-def basis_vector(dim: int, i: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 def ket(dim: int, coeffs: dict[int, complex]) -> np.ndarray:
     """Normalized vector with the given sparse coefficients."""
     v = np.zeros(dim, dtype=complex)

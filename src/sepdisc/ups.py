@@ -25,6 +25,12 @@ CROSS_TERM_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 
 
+class ProductSetError(ValueError):
+    """The product set is outside what subset enumeration accepts: it has
+    more than ``SUBSET_CAP`` members, or it is not unextendable where the
+    algorithm needs that."""
+
+
 @dataclass(frozen=True)
 class UPSet:
     """Orthonormal product set with local factors stored separately."""
@@ -61,7 +67,7 @@ class UnextendabilityReport:
 
 def _check_cap(s: UPSet) -> None:
     if len(s) > SUBSET_CAP:
-        raise ValueError(
+        raise ProductSetError(
             f"subset enumeration is capped at {SUBSET_CAP} members, got {len(s)}"
         )
 
@@ -142,7 +148,7 @@ def replacement_projections(s: UPSet) -> ReplacementSet:
             if ny.shape[1] == 0:
                 continue
             if nx.shape[1] > 1 or ny.shape[1] > 1:
-                raise ValueError(
+                raise ProductSetError(
                     "input is not unextendable: a subset leaves a degree of freedom"
                 )
             cand = ProductVector(fix_phase(nx[:, 0]), fix_phase(ny[:, 0]))

@@ -118,6 +118,13 @@ def test_certify_requires_epsilon(tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_certify_ydy_rejects_epsilon(tmp_path, capsys):
+    # ydy has no resource parameter; the flag is rejected, not ignored.
+    code, report = run(tmp_path, "certify", "ydy", "--epsilon", "0.5")
+    assert code == EXIT_INPUT and report is None
+    assert capsys.readouterr().err == "error: certify ydy takes no --epsilon\n"
+
+
 def test_certify_bell3(tmp_path):
     code, report = run(
         tmp_path, "certify", "bell3", "--epsilon", "0.6", "--restarts", "60"
@@ -290,6 +297,47 @@ def test_ups_bound_rejects_non_finite_lambda(tmp_path, capsys):
         assert code == EXIT_INPUT and report is None
         err = capsys.readouterr().err
         assert err == f"error: lam must be finite and positive, got {lam}\n"
+
+
+def write_product_set(path, dims, pairs):
+    """A product set of standard-basis pairs (i, j) -> |i> (x) |j>."""
+    ex, ey = np.eye(dims[0]), np.eye(dims[1])
+    members = [{"x": encode_vector(ex[i]), "y": encode_vector(ey[j])} for i, j in pairs]
+    space = {"dim_x": dims[0], "dim_y": dims[1]}
+    path.write_text(json.dumps({"kind": "product_set", "space": space, "members": members}))
+
+
+@pytest.mark.parametrize("action", ["enumerate", "separable"])
+def test_ups_extendable_file_rejected(tmp_path, capsys, action):
+    path = tmp_path / "set.json"
+    write_product_set(path, (2, 2), [(0, 0), (1, 1)])
+    code, report = run(tmp_path, "ups", str(path), "--action", action)
+    assert code == EXIT_INPUT and report is None
+    message = "input is not unextendable: a subset leaves a degree of freedom"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("action", ["check", "enumerate", "separable"])
+def test_ups_oversized_file_rejected(tmp_path, capsys, action):
+    path = tmp_path / "set.json"
+    write_product_set(path, (5, 5), [(i, j) for i in range(5) for j in range(5)][:21])
+    code, report = run(tmp_path, "ups", str(path), "--action", action)
+    assert code == EXIT_INPUT and report is None
+    message = "subset enumeration is capped at 20 members, got 21"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_ups_measurement_failure_is_not_an_input_error(monkeypatch):
+    # A measurement that fails its own check is a numerical fault, not bad
+    # input: it must not be reported as exit 2.
+    from sepdisc import cli
+
+    def bad_measurement(_):
+        raise ValueError("measurement operators must sum to the identity")
+
+    monkeypatch.setattr(cli, "separable_perfect_discrimination", bad_measurement)
+    with pytest.raises(ValueError, match="sum to the identity"):
+        main(["ups", "tiles", "--action", "separable"])
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):

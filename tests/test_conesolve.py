@@ -73,28 +73,43 @@ def test_deterministic_logs():
 
 
 def test_redundant_rows_dropped():
-    # same constraint stated twice: consistent, solvable
-    prob = SDPProblem(
-        block_dims=(1,),
-        objective=(np.ones((1, 1), dtype=complex),),
-        rows=np.array([[1.0], [1.0]]),
-        rhs=np.array([1.0, 1.0]),
-    )
-    sol = solve_sdp(prob)
-    assert sol.status == "optimal"
-    assert sol.kept_rows.tolist() == [0]
-    assert sol.y.size == 2 and sol.y[1] == 0.0
+    # The LP has one row per Hermitian coordinate of the 2 x 2 target. With
+    # columns 1 and 1, the two diagonal rows are duplicates and the two
+    # off-diagonal rows are zero; with e0, e0, e1 only the zero rows go. The
+    # LP drops the dependent rows itself, and solve_sdp sees only the rest.
+    eye = np.eye(2, dtype=complex)
+    res = solve_lp_feasibility([eye, eye], 3.0 * eye)
+    assert res.feasible
+    assert res.solution.y.size == 1
+    assert res.solution.kept_rows.tolist() == [0]
+    assert abs(res.weights.sum() - 3.0) <= 1e-8
+
+    e0 = np.diag([1.0, 0.0]).astype(complex)
+    e1 = np.diag([0.0, 1.0]).astype(complex)
+    res = solve_lp_feasibility([e0, e0, e1], eye)
+    assert res.feasible and res.solution.y.size == 2
+    fit = sum(w * c for w, c in zip(res.weights, [e0, e0, e1]))
+    assert np.abs(fit - eye).max() <= 1e-8
+
+    # The Farkas witness is read back on all d^2 coordinates.
+    target = np.diag([1.0, -1.0]).astype(complex)
+    res = solve_lp_feasibility([e0, e0, e1], target)
+    assert not res.feasible and res.farkas.shape == (2, 2)
+    assert verify_farkas([e0, e0, e1], target, res.farkas)
 
 
 def test_inconsistent_rows_raise():
-    prob = SDPProblem(
-        block_dims=(1,),
-        objective=(np.ones((1, 1), dtype=complex),),
-        rows=np.array([[1.0], [1.0]]),
-        rhs=np.array([1.0, 2.0]),
-    )
-    with pytest.raises(IllPosedProblemError):
-        solve_sdp(prob)
+    # solve_sdp takes independent rows only: a duplicated row makes the Schur
+    # matrix singular at the first iterate, with a consistent rhs or not.
+    for rhs in ([1.0, 1.0], [1.0, 2.0]):
+        prob = SDPProblem(
+            block_dims=(1,),
+            objective=(np.ones((1, 1), dtype=complex),),
+            rows=np.array([[1.0], [1.0]]),
+            rhs=np.array(rhs),
+        )
+        with pytest.raises(IllPosedProblemError):
+            solve_sdp(prob)
 
 
 def test_independent_rows_selection():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from sepdisc.conesolve import weak_duality_ok
+from sepdisc.conesolve import independent_rows, weak_duality_ok
 from sepdisc.discrimination import (
     Measurement,
+    _global_problem,
+    _ppt_problem,
     bell_compare_measurement,
     four_bell_value,
     measurement_value,
@@ -15,7 +17,7 @@ from sepdisc.discrimination import (
 )
 from sepdisc.conesolve import DualCertificate
 from sepdisc.linalg import BipartiteSpace, partial_transpose
-from sepdisc.states import Ensemble, bell, catalog, projector
+from sepdisc.states import Ensemble, bell, catalog, extend_ensemble, projector
 
 
 def helstrom_value(p1, rho1, p2, rho2):
@@ -27,6 +29,26 @@ def helstrom_value(p1, rho1, p2, rho2):
 def two_state_ensemble(v1, v2, p=0.5):
     space = BipartiteSpace(v1.size, 1)
     return Ensemble(space, (projector(v1), projector(v2)), np.array([p, 1 - p]))
+
+
+PROGRAM_ENSEMBLES = {
+    "bell3": lambda: catalog("bell3"),
+    "bell4": lambda: catalog("bell4"),
+    "bell3-tau": lambda: extend_ensemble(catalog("bell3"), 0.6),
+    "bell4-tau": lambda: extend_ensemble(catalog("bell4"), 0.6),
+    "ydy": lambda: catalog("ydy"),
+    "domino": lambda: catalog("domino"),
+    "tiles_psi": lambda: catalog("tiles_psi"),
+}
+
+
+@pytest.mark.parametrize("name", PROGRAM_ENSEMBLES)
+@pytest.mark.parametrize("build", [_ppt_problem, _global_problem], ids=["ppt", "global"])
+def test_discrimination_programs_have_independent_rows(build, name):
+    # solve_sdp does not reduce rows, so every program it gets from this
+    # package must have linearly independent rows.
+    rows = build(PROGRAM_ENSEMBLES[name]()).rows
+    assert independent_rows(rows).tolist() == list(range(rows.shape[0]))
 
 
 def test_measurement_validation():
