@@ -28,34 +28,37 @@ parameter is 1, so mu is not driven further toward 0 while only
 feasibility is missing. A solve stops once it meets the ``DEFAULT_*``
 tolerances, or once it has stalled: its iterate meets the looser
 ``ACCEPT_*`` tolerances and, over the last ``STALL_WINDOW`` iterations,
-neither |gap| nor the primal residual has halved. A stalled solve, or one that stops for another reason at an
-iterate within ``ACCEPT_*``, is reported optimal.
+neither |gap| nor the primal residual has halved. A stalled solve, or one
+that stops for another reason at an iterate within ``ACCEPT_*``, is
+reported optimal.
 
 The Schur complement M = sum_b C_b W_b C_b^T is assembled sparsely, in the
 manner of Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997). The Hermitian
 basis matrix T has at most two nonzeros per column, so each block's
 W_b = Re T^H (X_b kron Z_b^-T) T is formed by gathers in O(d^4), not by dense
-products in O(d^6). The rows C_b touching a block are stored once per solve
-as padded (column, value) pairs with their flat destinations in M, and each
-iteration adds the gathered entries there. A block that no row touches is
-skipped.
+products in O(d^6), and added at flat indices of M stored once per solve; a
+block that no row touches is skipped. M lives in one column-major buffer,
+the layout LAPACK works in, and the temporaries in one workspace per block
+and term size, so assembly allocates nothing per iteration. On a 2-vCPU
+host that took a d = 16 block term from 3.1 to 1.3 ms and the m = 1280
+solve from 43.7 to 34.9 ms, with every floating-point operation unchanged.
 
-Assembly allocates nothing per iteration. Each solve makes one flat m x m
-buffer for M, zeroed at every iteration, and a workspace of temporaries per
-block dimension and per term shape, shared by every block of that size. M is
-stored column-major, and ``np.linalg.solve`` gets the F-contiguous view. Both
-choices save time without changing a floating-point operation, so the
-iterates are the same to the bit: on a 2-vCPU host a 16-dimensional block
-term took 3.1 ms with fresh temporaries, which glibc handed back to the OS
-and faulted in again at every call, and 1.3 ms in the workspace; and
-``np.linalg.solve`` at m = 1280 took 43.7 ms on a C-ordered M, which it
-copies with strides first, against 34.9 ms on an F-ordered one.
+Everything else works on stacks: X, Z, Z^-1, the residuals and the
+directions are one (k, d, d) array per run of k consecutive d-dimensional
+blocks (every PPT, global and LP program is one run), and Cholesky, Z^-1,
+the coordinate maps, inner products, HKM products and step length are one
+numpy gufunc call per run. A batched gufunc runs the same LAPACK or BLAS
+routine on each matrix, and per-block inner products are added by the
+builtin ``sum`` in block order, so the iterates equal those of a per-block
+loop to the bit. The Schur terms stay per block: stacked, the temporaries
+of a bell4 PPT run (eight 16-dim blocks, 512 x 512 terms) would take 45 MB.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -200,13 +203,6 @@ class SDPProblem:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
 
-    def block_slices(self) -> list[slice]:
-        out, ofs = [], 0
-        for d in self.block_dims:
-            out.append(slice(ofs, ofs + d * d))
-            ofs += d * d
-        return out
-
 
 @dataclass
 class SDPSolution:
@@ -229,27 +225,47 @@ class SDPSolution:
 # ---------------------------------------------------------------------------
 
 
-def _coords_of_blocks(blocks) -> np.ndarray:
-    return np.concatenate([herm_to_coords(b) for b in blocks])
+def _runs(dims) -> list[tuple[int, int]]:
+    """(d, k) per run of k consecutive d-dimensional blocks."""
+    return [(d, len(list(group))) for d, group in groupby(dims)]
 
 
-def _blocks_from_coords(c, dims, slices) -> list[np.ndarray]:
-    return [coords_to_herm(c[sl], d) for d, sl in zip(dims, slices)]
+def _stack(blocks, runs) -> list[np.ndarray]:
+    """Per run, its blocks as one (k, d, d) array."""
+    it = iter(blocks)
+    return [np.stack([next(it) for _ in range(k)]) for _, k in runs]
+
+
+def _coords(stacks) -> np.ndarray:
+    return np.concatenate([herm_to_coords(s).reshape(-1) for s in stacks])
+
+
+def _stacks(c, runs) -> list[np.ndarray]:
+    parts = np.split(c, np.cumsum([k * d * d for d, k in runs])[:-1])
+    return [coords_to_herm(p.reshape(k, d * d), d) for (d, k), p in zip(runs, parts)]
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _hs(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a.conj() * b).real)
+def _hs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <A, B> of each matrix pair of two (..., d, d) stacks."""
+    return np.sum((a.conj() * b).reshape(a.shape[:-2] + (-1,)), axis=-1).real
 
 
-def _chol_or_none(a: np.ndarray):
+def _hs_total(stacks_a, stacks_b) -> float:
+    """Sum of Re <A_b, B_b> over all blocks, added one at a time in block order."""
+    return sum(v for a, b in zip(stacks_a, stacks_b) for v in _hs(a, b).tolist())
+
+
+def _positive_definite(stacks) -> bool:
     try:
-        return np.linalg.cholesky(a)
+        for s in stacks:
+            np.linalg.cholesky(s)
+        return True
     except np.linalg.LinAlgError:
-        return None
+        return False
 
 
 def _schur_work(d: int) -> tuple:
@@ -362,51 +378,46 @@ def _add_schur_term(m_flat, w, col, val, dest, work: dict) -> None:
     np.add.at(m_flat, dest, term_t.reshape(-1))
 
 
-def _max_step(blocks, dblocks) -> float:
+def _max_step(stacks, dstacks) -> float:
     """BOUNDARY_FRACTION times the distance to the PSD boundary along the
     direction, capped at 1. Uses the Cholesky factors of the current blocks."""
     alpha = 1.0
-    for s, ds in zip(blocks, dblocks):
-        ell = _chol_or_none(s)
-        if ell is None:
+    for s, ds in zip(stacks, dstacks):
+        try:
+            ell = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
             return 0.0
         w = np.linalg.solve(ell, ds)
-        t = np.linalg.solve(ell, w.conj().T).conj().T
-        lam = float(np.linalg.eigvalsh(_sym(t))[0])
-        if lam < 0.0:
-            alpha = min(alpha, -BOUNDARY_FRACTION / lam)
+        t = np.linalg.solve(ell, w.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+        lam = np.linalg.eigvalsh(_sym(t))[:, 0]
+        alpha = min([alpha, *(-BOUNDARY_FRACTION / lam[lam < 0.0]).tolist()])
     return alpha
 
 
-def _verify_primal_start(problem, c_rows, b) -> tuple[list[np.ndarray], bool]:
+def _verify_primal_start(problem, c_rows, b, runs) -> list[np.ndarray] | None:
     if problem.primal_start is None:
-        return [], False
+        return None
     try:
         blocks = [require_hermitian(x) for x in problem.primal_start]
     except ValueError:
-        return [], False
-    if len(blocks) != len(problem.block_dims):
-        return [], False
-    if any(_chol_or_none(x) is None for x in blocks):
-        return [], False
-    coords = _coords_of_blocks(blocks)
-    resid = np.linalg.norm(c_rows @ coords - b)
+        return None
+    if [x.shape[0] for x in blocks] != list(problem.block_dims):
+        return None
+    stacks = _stack(blocks, runs)
+    if not _positive_definite(stacks):
+        return None
+    resid = np.linalg.norm(c_rows @ _coords(stacks) - b)
     if resid > 1e-10 * (1.0 + np.linalg.norm(b)):
-        return [], False
-    return blocks, True
+        return None
+    return stacks
 
 
-def _verify_dual_start(problem, c_rows, slices) -> tuple[np.ndarray, list[np.ndarray], bool]:
-    if problem.dual_start is None:
-        return np.zeros(0), [], False
+def _verify_dual_start(problem, c_rows, runs, a_coords) -> tuple:
+    if problem.dual_start is None or np.size(problem.dual_start) != c_rows.shape[0]:
+        return None, None
     y = np.array(problem.dual_start, dtype=float)
-    if y.size != c_rows.shape[0]:
-        return np.zeros(0), [], False
-    slack = c_rows.T @ y - _coords_of_blocks(problem.objective)
-    z = _blocks_from_coords(slack, problem.block_dims, slices)
-    if any(_chol_or_none(zb) is None for zb in z):
-        return np.zeros(0), [], False
-    return y, z, True
+    z = _stacks(c_rows.T @ y - a_coords, runs)
+    return (y, z) if _positive_definite(z) else (None, None)
 
 
 def _acceptable(record: IterateRecord, b_scale: float, a_scale: float) -> bool:
@@ -451,11 +462,12 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     exception, and ``stop_reason`` says why the iteration ended.
     """
     dims = problem.block_dims
-    slices = problem.block_slices()
+    runs = _runs(dims)
     c_rows, b = problem.rows, problem.rhs
-    a_blocks = list(problem.objective)
-    a_coords = _coords_of_blocks(a_blocks)
-    gathers = _block_gathers(c_rows, slices)
+    a_stacks = _stack(problem.objective, runs)
+    a_coords = _coords(a_stacks)
+    ends = np.cumsum([d * d for d in dims]).tolist()
+    gathers = _block_gathers(c_rows, [slice(e - d * d, e) for d, e in zip(dims, ends)])
     # Reused by every iteration: the Schur matrix, stored column-major so that
     # np.linalg.solve gets the F-contiguous m_mat and need not copy it
     # strided, and the assembly buffers, per block and term size.
@@ -463,14 +475,13 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     m_mat = m_flat.reshape(b.size, b.size).T
     work: dict = {}
 
-    x_blocks, have_primal = _verify_primal_start(problem, c_rows, b)
-    y, z_blocks, have_dual = _verify_dual_start(problem, c_rows, slices)
+    x_stacks = _verify_primal_start(problem, c_rows, b, runs)
+    y, z_stacks = _verify_dual_start(problem, c_rows, runs, a_coords)
     eta = 1.0 + float(np.linalg.norm(a_coords)) + float(np.abs(b).max(initial=0.0))
-    if not have_primal:
-        x_blocks = [eta * np.eye(d, dtype=complex) for d in dims]
-    if not have_dual:
-        y = np.zeros(b.size)
-        z_blocks = [eta * np.eye(d, dtype=complex) for d in dims]
+    eyes = [np.broadcast_to(np.eye(d, dtype=complex), (k, d, d)) for d, k in runs]
+    x_stacks = x_stacks or [eta * e for e in eyes]
+    if z_stacks is None:
+        y, z_stacks = np.zeros(b.size), [eta * e for e in eyes]
 
     b_scale = 1.0 + float(np.linalg.norm(b))
     a_scale = 1.0 + float(np.linalg.norm(a_coords))
@@ -483,13 +494,12 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     it = 0
 
     for it in range(MAX_ITERATIONS + 1):
-        x_coords = _coords_of_blocks(x_blocks)
-        rp = b - c_rows @ x_coords
-        rd_coords = c_rows.T @ y - a_coords - _coords_of_blocks(z_blocks)
-        rd_blocks = _blocks_from_coords(rd_coords, dims, slices)
-        pv = sum(_hs(a, x) for a, x in zip(a_blocks, x_blocks))
+        rp = b - c_rows @ _coords(x_stacks)
+        rd_coords = c_rows.T @ y - a_coords - _coords(z_stacks)
+        rd_stacks = _stacks(rd_coords, runs)
+        pv = _hs_total(a_stacks, x_stacks)
         dv = float(b @ y)
-        mu_total = sum(_hs(x, z) for x, z in zip(x_blocks, z_blocks))
+        mu_total = _hs_total(x_stacks, z_stacks)
         mu = mu_total / total_dim
         rp_norm = float(np.linalg.norm(rp))
         rd_norm = float(np.linalg.norm(rd_coords))
@@ -515,19 +525,18 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             break
 
         try:
-            zinv_blocks = []
-            for zb in z_blocks:
-                ell = np.linalg.cholesky(zb)
-                linv = np.linalg.solve(ell, np.eye(zb.shape[0], dtype=complex))
-                zinv_blocks.append(linv.conj().T @ linv)
+            zinv_stacks = []
+            for z, eye in zip(z_stacks, eyes):
+                linv = np.linalg.solve(np.linalg.cholesky(z), eye)
+                zinv_stacks.append(linv.conj().swapaxes(-1, -2) @ linv)
 
             m_flat.fill(0.0)
-            for xb, zinv, g in zip(x_blocks, zinv_blocks, gathers):
+            for xb, zinv, g in zip(chain(*x_stacks), chain(*zinv_stacks), gathers):
                 if g is not None:
                     _add_schur_term(m_flat, _schur_block(xb, zinv, work), *g, work)
 
-            c_zinv = c_rows @ _coords_of_blocks(zinv_blocks)
-            x_rd_zinv = [x @ rd @ zi for x, rd, zi in zip(x_blocks, rd_blocks, zinv_blocks)]
+            c_zinv = c_rows @ _coords(zinv_stacks)
+            x_rd_zinv = [x @ rd @ zi for x, rd, zi in zip(x_stacks, rd_stacks, zinv_stacks)]
 
             def solve_m(rhs_vec):
                 try:
@@ -542,11 +551,10 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
 
             def steps(dy, sig_mu: float, corr):
                 """dX and dZ of the HKM direction for the given dy."""
-                dz_coords = c_rows.T @ dy + rd_coords
-                dz = _blocks_from_coords(dz_coords, dims, slices)
+                dz = _stacks(c_rows.T @ dy + rd_coords, runs)
                 dx = []
-                for i, (xb, zinv, dzb) in enumerate(zip(x_blocks, zinv_blocks, dz)):
-                    core = sig_mu * zinv - xb - _sym(xb @ dzb @ zinv)
+                for i, (x, zinv, dzs) in enumerate(zip(x_stacks, zinv_stacks, dz)):
+                    core = sig_mu * zinv - x - _sym(x @ dzs @ zinv)
                     if corr is not None:
                         core = core - _sym(corr[i])
                     dx.append(_sym(core))
@@ -554,19 +562,19 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
 
             def newton(sig_mu: float, corr):
                 """HKM direction for target sig_mu; corr is the second-order
-                term dX_aff dZ_aff Z^-1 per block, or None."""
+                term dX_aff dZ_aff Z^-1 per run of blocks, or None."""
                 terms = x_rd_zinv if corr is None else [t + c for t, c in zip(x_rd_zinv, corr)]
-                rhs_vec = sig_mu * c_zinv - b - c_rows @ _coords_of_blocks([_sym(t) for t in terms])
+                rhs_vec = sig_mu * c_zinv - b - c_rows @ _coords([_sym(t) for t in terms])
                 dy = solve_m(rhs_vec)
                 dx, dz = steps(dy, sig_mu, corr)
                 return dx, dy, dz
 
             dx_aff, _, dz_aff = newton(0.0, None)
-            ap = _max_step(x_blocks, dx_aff)
-            ad = _max_step(z_blocks, dz_aff)
-            mu_aff = sum(
-                _hs(x + ap * dx, z + ad * dz)
-                for x, dx, z, dz in zip(x_blocks, dx_aff, z_blocks, dz_aff)
+            ap = _max_step(x_stacks, dx_aff)
+            ad = _max_step(z_stacks, dz_aff)
+            mu_aff = _hs_total(
+                [x + ap * dx for x, dx in zip(x_stacks, dx_aff)],
+                [z + ad * dz for z, dz in zip(z_stacks, dz_aff)],
             )
             # Once mu and the gap meet DEFAULT_*, only feasibility is missing.
             # Aim at the same mu (sigma = 1) then: driving mu further toward 0
@@ -575,33 +583,33 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
                 sig = 1.0
             else:
                 sig = min(1.0, max(0.0, (mu_aff / mu_total) ** 3))
-            corr = [dx @ dz @ zi for dx, dz, zi in zip(dx_aff, dz_aff, zinv_blocks)]
-            dx_blocks, dy, dz_blocks = newton(sig * mu, corr)
+            corr = [dx @ dz @ zi for dx, dz, zi in zip(dx_aff, dz_aff, zinv_stacks)]
+            dx_stacks, dy, dz_stacks = newton(sig * mu, corr)
 
             # C dX = r_p holds only up to the Schur solve's residual and the
             # roundoff in M, which near the optimum (|M| ~ 1/mu) would go
             # straight into the next primal residual. One step of iterative
             # refinement against the applied operator removes most of it; it
             # is kept only if it shrinks the defect.
-            defect = c_rows @ _coords_of_blocks(dx_blocks) - rp
+            defect = c_rows @ _coords(dx_stacks) - rp
             defect_norm = float(np.linalg.norm(defect))
             if defect_norm > REFINE_TOL * b_scale:
                 dy_ref = dy + solve_m(defect)
                 dx_ref, dz_ref = steps(dy_ref, sig * mu, corr)
-                if np.linalg.norm(c_rows @ _coords_of_blocks(dx_ref) - rp) < defect_norm:
-                    dx_blocks, dy, dz_blocks = dx_ref, dy_ref, dz_ref
+                if np.linalg.norm(c_rows @ _coords(dx_ref) - rp) < defect_norm:
+                    dx_stacks, dy, dz_stacks = dx_ref, dy_ref, dz_ref
         except np.linalg.LinAlgError:
             stop_reason = STOP_FACTORIZATION_FAILED
             break
 
-        alpha_p = _max_step(x_blocks, dx_blocks)
-        alpha_d = _max_step(z_blocks, dz_blocks)
+        alpha_p = _max_step(x_stacks, dx_stacks)
+        alpha_d = _max_step(z_stacks, dz_stacks)
         if max(alpha_p, alpha_d) < 1e-10:
             stop_reason = STOP_STEP_COLLAPSE
             break
-        x_blocks = [_sym(x + alpha_p * dx) for x, dx in zip(x_blocks, dx_blocks)]
+        x_stacks = [_sym(x + alpha_p * dx) for x, dx in zip(x_stacks, dx_stacks)]
         y = y + alpha_d * dy
-        z_blocks = [_sym(z + alpha_d * dz) for z, dz in zip(z_blocks, dz_blocks)]
+        z_stacks = [_sym(z + alpha_d * dz) for z, dz in zip(z_stacks, dz_stacks)]
 
     last = records[-1]
     if status == STATUS_MAX_ITERATIONS and _acceptable(last, b_scale, a_scale):
@@ -610,9 +618,9 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
         status = STATUS_OPTIMAL
 
     return SDPSolution(
-        x_blocks=[_sym(x) for x in x_blocks],
+        x_blocks=[xb for x in x_stacks for xb in _sym(x)],
         y=y,
-        z_blocks=[_sym(z) for z in z_blocks],
+        z_blocks=[zb for z in z_stacks for zb in _sym(z)],
         primal_value=last.primal,
         dual_value=last.dual,
         gap=last.gap,
@@ -714,7 +722,7 @@ def solve_lp_feasibility(
 
     ncol = len(cols)
     artificial = tgt - sum(cols)
-    col_coords = np.stack([herm_to_coords(c) for c in cols + [artificial]], axis=1)
+    col_coords = np.ascontiguousarray(herm_to_coords(np.stack(cols + [artificial])).T)
     rhs = herm_to_coords(tgt)
     # One row per coordinate of the d x d target against ncol + 1 columns:
     # the rows are dependent, and solve_sdp takes only independent ones. The

@@ -122,9 +122,7 @@ def _ppt_problem(e: Ensemble) -> SDPProblem:
         np.zeros((d, d), dtype=complex) for _ in range(n)
     )
     c = 3.0 + float(np.max(e.probs))
-    dual_start = np.concatenate(
-        [herm_to_coords(c * eye)] + [herm_to_coords(-eye) for _ in range(n)]
-    )
+    dual_start = herm_to_coords(np.stack([c * eye] + [-eye] * n)).reshape(-1)
     return SDPProblem(
         block_dims=(d,) * (2 * n),
         objective=objective,

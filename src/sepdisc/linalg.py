@@ -228,32 +228,34 @@ def _triu_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def herm_to_coords(h: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in the fixed orthonormal basis.
+    """Real coordinates of a Hermitian matrix in the fixed orthonormal basis,
+    (..., d, d) -> (..., d^2) for a stack of matrices.
 
     Isometric: the Euclidean norm of the coordinates equals the Frobenius
     norm of the matrix.
     """
     h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    iu, ju = _triu_indices(d)
-    off = h[iu, ju]
+    iu, ju = _triu_indices(h.shape[-1])
+    off = h[..., iu, ju]
     return np.concatenate(
-        [h.diagonal().real, math.sqrt(2.0) * off.real, math.sqrt(2.0) * off.imag]
+        [np.diagonal(h, axis1=-2, axis2=-1).real, math.sqrt(2.0) * off.real,
+         math.sqrt(2.0) * off.imag],
+        axis=-1,
     )
 
 
 def coords_to_herm(c: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_coords`."""
+    """Inverse of :func:`herm_to_coords`, (..., d^2) -> (..., d, d)."""
     c = np.asarray(c, dtype=float)
-    if c.size != d * d:
-        raise DimensionMismatchError(f"expected {d * d} coordinates, got {c.size}")
+    if c.ndim == 0 or c.shape[-1] != d * d:
+        raise DimensionMismatchError(f"expected {d * d} coordinates, got shape {c.shape}")
     iu, ju = _triu_indices(d)
     m = iu.size
-    h = np.zeros((d, d), dtype=complex)
-    h[np.arange(d), np.arange(d)] = c[:d]
-    off = (c[d : d + m] + 1j * c[d + m :]) / math.sqrt(2.0)
-    h[iu, ju] = off
-    h[ju, iu] = off.conj()
+    h = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    h[..., np.arange(d), np.arange(d)] = c[..., :d]
+    off = (c[..., d : d + m] + 1j * c[..., d + m :]) / math.sqrt(2.0)
+    h[..., iu, ju] = off
+    h[..., ju, iu] = off.conj()
     return h
 
 
@@ -261,12 +263,7 @@ def coords_to_herm(c: np.ndarray, d: int) -> np.ndarray:
 def hermitian_basis_matrix(d: int) -> np.ndarray:
     """Complex (d^2, d^2) matrix whose columns are vec(B_r) for the fixed
     Hermitian basis, so that vec(H) = T @ herm_to_coords(H)."""
-    cols = np.zeros((d * d, d * d), dtype=complex)
-    for r in range(d * d):
-        e = np.zeros(d * d)
-        e[r] = 1.0
-        cols[:, r] = vec(coords_to_herm(e, d))
-    return cols
+    return coords_to_herm(np.eye(d * d), d).reshape(d * d, d * d).T
 
 
 @lru_cache(maxsize=None)
@@ -292,9 +289,5 @@ def hermitian_basis_support(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 def real_map_matrix(apply_fn, d: int) -> np.ndarray:
     """Real-basis matrix R of a linear map on Herm(C^d): coords(f(H)) = R @ coords(H)."""
-    r = np.zeros((d * d, d * d))
-    for k in range(d * d):
-        e = np.zeros(d * d)
-        e[k] = 1.0
-        r[:, k] = herm_to_coords(apply_fn(coords_to_herm(e, d)))
-    return r
+    basis = coords_to_herm(np.eye(d * d), d)
+    return np.stack([herm_to_coords(apply_fn(b)) for b in basis], axis=1)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from sepdisc.conesolve import (
+    BOUNDARY_FRACTION,
     DualCertificate,
     _add_schur_term,
     _block_gathers,
+    _max_step,
     _schur_block,
     IllPosedProblemError,
     SDPProblem,
@@ -221,13 +223,14 @@ def test_schur_assembly_matches_dense_reference(rng):
             assert np.array_equal(got, dense)
 
 
-def test_newton_solve_gets_f_contiguous_dense_schur_matrix(rng, monkeypatch):
-    # Strictly feasible random starts fix the first iterate, so the first
-    # Schur matrix can be rebuilt densely from X_0 and Z_0.
-    dims = (3, 2, 1)
-    slices = [slice(0, 9), slice(9, 13), slice(13, 14)]
-    m = 7
-    rows = rng.standard_normal((m, 14))
+def _check_first_schur_matrix(rng, monkeypatch, dims, m):
+    """Solves a random problem with strictly feasible random starts, which
+    fix the first iterate, so the first Schur matrix can be rebuilt densely
+    from X_0 and Z_0; checks it, and that every Schur matrix reaches
+    np.linalg.solve F-contiguous."""
+    ends = np.cumsum([d * d for d in dims]).tolist()
+    slices = [slice(e - d * d, e) for d, e in zip(dims, ends)]
+    rows = rng.standard_normal((m, ends[-1]))
     x0 = [_random_psd(rng, d) for d in dims]
     z0 = [_random_psd(rng, d) for d in dims]
     y0 = rng.standard_normal(m)
@@ -258,6 +261,68 @@ def test_newton_solve_gets_f_contiguous_dense_schur_matrix(rng, monkeypatch):
         for x, z, sl in zip(x0, z0, slices)
     )
     assert np.abs(seen[0][1] - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
+
+
+def test_newton_solve_gets_f_contiguous_dense_schur_matrix(rng, monkeypatch):
+    _check_first_schur_matrix(rng, monkeypatch, (3, 2, 1), 7)
+
+
+def test_multi_run_first_schur_matrix_matches_dense(rng, monkeypatch):
+    # Runs of equal dimension (3, 3), (2,) and (1, 1) next to each other.
+    _check_first_schur_matrix(rng, monkeypatch, (3, 3, 2, 1, 1), 12)
+
+
+def test_stacked_step_length_matches_per_block_reference(rng):
+    def reference(blocks, dblocks):
+        alpha = 1.0
+        for s, ds in zip(blocks, dblocks):
+            try:
+                ell = np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
+                return 0.0
+            w = np.linalg.solve(ell, ds)
+            t = np.linalg.solve(ell, w.conj().T).conj().T
+            lam = float(np.linalg.eigvalsh((t + t.conj().T) / 2.0)[0])
+            if lam < 0.0:
+                alpha = min(alpha, -BOUNDARY_FRACTION / lam)
+        return alpha
+
+    def herm(d, scale):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return scale * (g + g.conj().T)
+
+    for runs in (((1, 5),), ((3, 4),), ((16, 3),), ((3, 2), (2, 1), (1, 2))):
+        blocks = [_random_psd(rng, d) for d, k in runs for _ in range(k)]
+        # A small direction keeps alpha at 1; one that shrinks X hits the boundary.
+        for scale, shrink in ((1e-3, 0.0), (1.0, 0.0), (1.0, 10.0)):
+            dblocks = [herm(b.shape[0], scale) - shrink * b for b in blocks]
+            stacks, dstacks, i = [], [], 0
+            for _, k in runs:
+                stacks.append(np.stack(blocks[i : i + k]))
+                dstacks.append(np.stack(dblocks[i : i + k]))
+                i += k
+            want = reference(blocks, dblocks)
+            assert _max_step(stacks, dstacks) == want
+            if shrink:
+                assert want < 1.0
+        # One block that is not positive definite: no step at all.
+        stacks[-1][-1] = -np.eye(stacks[-1].shape[-1])
+        assert _max_step(stacks, dstacks) == 0.0
+
+
+def test_wrong_shaped_primal_start_falls_back_to_default_start():
+    # maximize <diag(1, 0), X> s.t. Tr X = 1 on one 2 x 2 block: value 1. A
+    # 3 x 3 start does not fit the block, and is ignored like any invalid start.
+    data = dict(
+        block_dims=(2,),
+        objective=(np.diag([1.0, 0.0]).astype(complex),),
+        rows=herm_to_coords(np.eye(2, dtype=complex))[None, :],
+        rhs=np.array([1.0]),
+    )
+    sol = solve_sdp(SDPProblem(**data, primal_start=(np.eye(3, dtype=complex) / 3,)))
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value - 1.0) <= 1e-8
+    assert sol.log == solve_sdp(SDPProblem(**data)).log
 
 
 def test_no_workspace_state_leaks_between_solves():

@@ -209,6 +209,29 @@ def test_herm_coords_roundtrip_and_isometry(rng):
         assert abs(np.linalg.norm(c) - np.linalg.norm(h)) <= 1e-13
 
 
+def test_herm_coords_on_stacks_equal_per_matrix_calls(rng):
+    for d in (1, 3, 16):
+        hs = np.stack([random_hermitian(rng, d) for _ in range(4)])
+        c = herm_to_coords(hs)
+        assert c.shape == (4, d * d)
+        assert np.array_equal(c, np.stack([herm_to_coords(h) for h in hs]))
+        back = coords_to_herm(c, d)
+        assert back.shape == (4, d, d)
+        assert np.array_equal(back, np.stack([coords_to_herm(ci, d) for ci in c]))
+        # Any number of leading axes.
+        assert np.array_equal(herm_to_coords(hs.reshape(2, 2, d, d)), c.reshape(2, 2, d * d))
+        assert np.array_equal(coords_to_herm(c.reshape(2, 2, d * d), d), back.reshape(2, 2, d, d))
+
+
+def test_coords_to_herm_rejects_wrong_coordinate_count():
+    with pytest.raises(DimensionMismatchError):
+        coords_to_herm(np.zeros(8), 3)
+    with pytest.raises(DimensionMismatchError):
+        coords_to_herm(np.zeros((2, 8)), 3)
+    with pytest.raises(DimensionMismatchError):
+        coords_to_herm(np.float64(1.0), 1)
+
+
 def test_hermitian_basis_orthonormal():
     t = hermitian_basis_matrix(3)
     assert np.allclose(t.conj().T @ t, np.eye(9), atol=1e-14)
