@@ -25,11 +25,22 @@ from .linalg import (
     transpose_factors,
     vec,
 )
-from .states import ProductVector, bell, fix_phase, projector, tau
+from .states import (
+    ProductVector,
+    bell,
+    extend_with_resource,
+    fix_phase,
+    projector,
+    resource_reorder_unitary,
+    tau,
+)
 
 DEFAULT_RESTARTS = 1000
 DEFAULT_SEED = 20140829
 REFUTATION_TOL = 1e-9
+MAX_ALTERNATIONS = 500
+ALTERNATION_FTOL = 1e-12
+UNITARY_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +116,6 @@ def choi_matrix(apply_fn, dim_x: int, dim_y: int) -> np.ndarray:
 
 def _resource_frame_to_xy(op: np.ndarray) -> np.ndarray:
     """Conjugate an operator on X1 Y1 X2 Y2 into the (X1 X2) : (Y1 Y2) frame."""
-    from .states import resource_reorder_unitary
-
     w = resource_reorder_unitary()
     return w.T @ op @ w
 
@@ -193,8 +202,6 @@ def four_bell_resource_certificate(epsilon: float) -> DualCertificate:
 def four_bell_certificate_psd_margins(epsilon: float) -> list[float]:
     """Minimum eigenvalues of the partially transposed slack operators of the
     four-Bell certificate; all must be nonnegative up to roundoff."""
-    from .states import extend_with_resource
-
     cert = four_bell_resource_certificate(epsilon)
     ens = extend_with_resource([bell(k) for k in (1, 2, 3, 4)], epsilon)
     margins = []
@@ -210,9 +217,10 @@ def four_bell_certificate_psd_margins(epsilon: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def breuer_hall_witness(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def breuer_hall_witness(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Block-positive operator 1 - vec(U)vec(U)* - T_X(vec(V)vec(V)*) on
-    C^n (x) C^n, for unitaries U, V with V^T U skew-symmetric.
+    C^n (x) C^n, for unitaries U, V with V^T U skew-symmetric, both checked
+    to ``UNITARY_TOL``.
 
     Every compression (1 (x) y*) W (1 (x) y) by a unit vector y is an
     orthogonal projection of rank n - 2.
@@ -224,10 +232,10 @@ def breuer_hall_witness(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> np.
     for name, mat in (("U", u), ("V", v)):
         if mat.shape != (n, n):
             raise ValueError("U and V must be square of equal dimension")
-        if np.abs(mat.conj().T @ mat - eye).max() > tol:
-            raise ValueError(f"{name} is not unitary within {tol:.1e}")
+        if np.abs(mat.conj().T @ mat - eye).max() > UNITARY_TOL:
+            raise ValueError(f"{name} is not unitary within {UNITARY_TOL:.1e}")
     skew = v.T @ u
-    if np.abs(skew.T + skew).max() > tol:
+    if np.abs(skew.T + skew).max() > UNITARY_TOL:
         raise ValueError("V^T U must be skew-symmetric")
     vu = vec(u)
     vv = vec(v)
@@ -294,14 +302,14 @@ def block_positivity_search(
     space: BipartiteSpace,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_SEED,
-    max_alternations: int = 500,
-    ftol: float = 1e-12,
 ) -> ConeSearchReport:
     """Minimize <x (x) y, H (x (x) y)> over unit product vectors by see-saw.
 
     Each alternation fixes one side and takes the minimum eigenvector of the
     compressed operator on the other; the overlap is nonincreasing, restarts
     run in lockstep, and everything is deterministic given (restarts, seed).
+    A restart stops after ``MAX_ALTERNATIONS`` alternations, or once one
+    lowers its overlap by less than ``ALTERNATION_FTOL``.
     Raises ValueError unless restarts >= 1 and seed >= 0.
     """
     if restarts < 1:
@@ -318,7 +326,7 @@ def block_positivity_search(
     iters = np.zeros(restarts, dtype=int)
     active = np.ones(restarts, dtype=bool)
 
-    for step in range(1, max_alternations + 1):
+    for step in range(1, MAX_ALTERNATIONS + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -334,7 +342,7 @@ def block_positivity_search(
         improved = vals[idx] - new_vals
         vals[idx] = new_vals
         iters[idx] = step
-        active[idx[improved < ftol]] = False
+        active[idx[improved < ALTERNATION_FTOL]] = False
 
     best = int(np.argmin(vals))
     witness = ProductVector(fix_phase(xs[best]), fix_phase(ys[best]))

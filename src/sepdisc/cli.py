@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import time
 
@@ -84,12 +85,19 @@ def _is_number(x) -> bool:
 
 
 def decode_vector(data) -> np.ndarray:
-    """Complex vector from a list of [re, im] number pairs; InputError otherwise."""
+    """Complex vector from a list of [re, im] pairs of finite numbers;
+    InputError otherwise."""
     if not isinstance(data, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in data
     ):
         raise InputError("expected a list of [re, im] number pairs")
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
+    try:
+        v = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputError(f"entry out of range: {exc}") from exc
+    if not np.isfinite(v).all():
+        raise InputError("entries must be finite")
+    return v
 
 
 def encode_matrix(m) -> list:
@@ -106,20 +114,24 @@ def decode_matrix(data) -> np.ndarray:
 def _decode_space(data) -> BipartiteSpace:
     try:
         return BipartiteSpace(
-            int(data["dim_x"]),
-            int(data["dim_y"]),
-            tuple(data.get("factors_x") or ()),
-            tuple(data.get("factors_y") or ()),
+            operator.index(data["dim_x"]),
+            operator.index(data["dim_y"]),
+            tuple(operator.index(f) for f in data.get("factors_x") or ()),
+            tuple(operator.index(f) for f in data.get("factors_y") or ()),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad space header: {exc}") from exc
 
 
 def _load_json(path: str, kind: str | None = None):
     """The JSON value in ``path``; with ``kind``, it must be an object whose
-    "kind" field is ``kind``."""
-    with open(path) as fh:
-        data = json.load(fh)
+    "kind" field is ``kind``. A file that is not UTF-8 JSON, or nests too
+    deeply to parse, is an InputError naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+            raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if kind is not None and (not isinstance(data, dict) or data.get("kind") != kind):
         raise InputError(f"{path}: expected a JSON object of kind {kind!r}")
     return data
@@ -132,7 +144,7 @@ def load_ensemble(path: str) -> Ensemble:
         states = tuple(decode_matrix(s) for s in data["states"])
         probs = np.asarray(data["probs"], dtype=float)
         return Ensemble(space, states, probs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -150,8 +162,9 @@ def load_product_set(path: str) -> UPSet:
 
 
 def load_vector(path: str) -> np.ndarray:
+    data = _load_json(path)
     try:
-        return decode_vector(_load_json(path))
+        return decode_vector(data)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -335,6 +348,10 @@ def _enumerating(algorithm, name: str, ups_set: UPSet):
 
 
 def cmd_ups(args) -> tuple[dict, int]:
+    if args.action != "bound":
+        for flag, value in (("--lambda", args.lam), ("--z", args.z)):
+            if value is not None:
+                raise InputError(f"ups --action {args.action} takes no {flag}")
     name, ups_set = _resolve_product_set(args)
 
     if args.action == "check":
@@ -426,9 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    def common(p, see_saw: bool):
+        if see_saw:
+            p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("discriminate", help="solve a discrimination program")
@@ -437,13 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="resource entanglement parameter")
     p.add_argument("--prior", help="comma-separated prior probabilities")
     p.add_argument("--log-iterates", help="write the solver iterate log here")
-    common(p)
+    common(p, see_saw=False)
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("certify", help="build and score a dual certificate")
     p.add_argument("name", choices=tuple(CERTIFICATES))
     p.add_argument("--epsilon", type=float)
-    common(p)
+    common(p, see_saw=True)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("ups", help="unextendable-product-set pipelines")
@@ -453,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam",
                    help="certified overlap constant (a float, or 'analytic' for tiles)")
     p.add_argument("--z", help="file holding the extra orthogonal state for 'bound'")
-    common(p)
+    common(p, see_saw=True)
     p.set_defaults(func=cmd_ups)
 
     return parser
@@ -465,7 +483,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         outputs, code = args.func(args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

@@ -75,6 +75,10 @@ ACCEPT_GAP_TOL = 1e-7
 ACCEPT_FEAS_TOL = 1e-8
 ROW_DROP_TOL = 1e-10
 FARKAS_THRESHOLD = 1e-6
+LP_RESIDUAL_TOL = 1e-8
+FARKAS_COL_TOL = 1e-10
+FARKAS_TARGET_TOL = 1e-6
+WEAK_DUALITY_SLACK = 10.0
 MAX_ITERATIONS = 200
 BOUNDARY_FRACTION = 0.98
 STALL_WINDOW = 3
@@ -140,8 +144,9 @@ def format_iterate_log(records: list[IterateRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def weak_duality_ok(records: list[IterateRecord], slack: float = 10.0) -> tuple[bool, float]:
-    """Check primal <= dual + slack * eps * scale on every logged iterate.
+def weak_duality_ok(records: list[IterateRecord]) -> tuple[bool, float]:
+    """Check primal <= dual + WEAK_DUALITY_SLACK * eps * scale on every
+    logged iterate, with scale = 1 + |primal| + |dual|.
 
     Returns (ok, worst margin); the margin is primal - dual - tolerance, so
     any positive value is a violation.
@@ -149,7 +154,7 @@ def weak_duality_ok(records: list[IterateRecord], slack: float = 10.0) -> tuple[
     eps = float(np.finfo(float).eps)
     worst = -math.inf
     for r in records:
-        tol = slack * eps * (1.0 + abs(r.primal) + abs(r.dual))
+        tol = WEAK_DUALITY_SLACK * eps * (1.0 + abs(r.primal) + abs(r.dual))
         worst = max(worst, r.primal - r.dual - tol)
     return worst <= 0.0, worst
 
@@ -157,11 +162,12 @@ def weak_duality_ok(records: list[IterateRecord], slack: float = 10.0) -> tuple[
 @dataclass(frozen=True)
 class DualCertificate:
     """Dual feasible operator H; Tr(H) upper-bounds the success probability
-    for the measurement class named by ``cone_tag``."""
+    for the measurement class named by ``cone_tag``. ``claimed_value`` is
+    that trace, computed from the matrix."""
 
     matrix: np.ndarray
     cone_tag: str  # "sep-dual", "ppt-dual" or "psd-dual"
-    claimed_value: float = field(default=math.nan)
+    claimed_value: float = field(init=False)
 
     def __post_init__(self) -> None:
         h = require_hermitian(self.matrix)
@@ -649,11 +655,11 @@ class LPFeasibilityResult:
     solution: SDPSolution
 
 
-def independent_rows(rows: np.ndarray, tol: float = ROW_DROP_TOL) -> np.ndarray:
+def independent_rows(rows: np.ndarray) -> np.ndarray:
     """Indices of a maximal linearly independent subset of rows, chosen
     greedily in order (Gram-Schmidt semantics: a row is dropped when its
-    residual against the earlier kept rows falls below ``tol`` relative to
-    the row norm).
+    residual against the earlier kept rows falls below ``ROW_DROP_TOL``
+    relative to the row norm).
 
     The row reduction of :func:`solve_lp_feasibility`, whose d^2 rows, one
     per Hermitian coordinate, usually outnumber its columns. Works in chunks
@@ -673,7 +679,7 @@ def independent_rows(rows: np.ndarray, tol: float = ROW_DROP_TOL) -> np.ndarray:
             chunk -= (chunk @ q.T) @ q
         resid = np.abs(np.diag(np.linalg.qr(chunk.T, mode="r")))
         scale = np.maximum(1.0, np.linalg.norm(rows[start : start + block], axis=1))
-        keep_local = np.flatnonzero(resid >= tol * scale)
+        keep_local = np.flatnonzero(resid >= ROW_DROP_TOL * scale)
         kept.extend(int(start + j) for j in keep_local)
         if keep_local.size and start + block < m:
             q_new, _ = np.linalg.qr(chunk[keep_local].T)
@@ -689,28 +695,25 @@ def span_residual(columns: list[np.ndarray], target: np.ndarray) -> float:
     return float(np.linalg.norm(c @ sol - t))
 
 
-def verify_farkas(columns, target, w, col_tol=1e-10, target_tol=1e-6) -> bool:
+def verify_farkas(columns, target, w) -> bool:
+    """Whether W separates ``target`` from the cone of ``columns``, to
+    ``FARKAS_COL_TOL`` and ``FARKAS_TARGET_TOL``."""
     wn = float(np.linalg.norm(w))
     for col in columns:
-        if _hs(w, col) < -col_tol * float(np.linalg.norm(col)) * wn:
+        if _hs(w, col) < -FARKAS_COL_TOL * float(np.linalg.norm(col)) * wn:
             return False
-    return _hs(w, target) <= -target_tol * wn * float(np.linalg.norm(target))
+    return _hs(w, target) <= -FARKAS_TARGET_TOL * wn * float(np.linalg.norm(target))
 
 
-def solve_lp_feasibility(
-    columns: list[np.ndarray],
-    target: np.ndarray,
-    *,
-    farkas_threshold: float = FARKAS_THRESHOLD,
-    residual_tol: float = 1e-8,
-) -> LPFeasibilityResult:
+def solve_lp_feasibility(columns: list[np.ndarray], target: np.ndarray) -> LPFeasibilityResult:
     """Decide whether ``target`` is a nonnegative combination of ``columns``.
 
     Solved as a phase-1 problem on the SDP engine with 1x1 blocks: minimize
     the weight t of an artificial column R = target - sum(columns), starting
     from the strictly feasible point (1, ..., 1). A phase-1 optimum above
-    ``farkas_threshold`` yields a Farkas witness read from the dual
-    multipliers; either certificate is re-verified by direct recomputation.
+    ``FARKAS_THRESHOLD`` yields a Farkas witness read from the dual
+    multipliers; either certificate is re-verified by direct recomputation,
+    the weights to ``LP_RESIDUAL_TOL``.
     """
     if not columns:
         raise ValueError("empty column list")
@@ -754,7 +757,7 @@ def solve_lp_feasibility(
         raise ConvergenceError(f"phase-1 solve ended with status {sol.status}", sol)
 
     t_star = float(sol.x_blocks[-1][0, 0].real)
-    if t_star > farkas_threshold:
+    if t_star > FARKAS_THRESHOLD:
         y = np.zeros(rhs.size)
         y[kept] = sol.y
         w = coords_to_herm(y, d)
@@ -771,7 +774,7 @@ def solve_lp_feasibility(
     weights = np.maximum(weights, 0.0)
     fit = sum(wk * ck for wk, ck in zip(weights, cols))
     resid = float(np.linalg.norm(fit - tgt))
-    if resid > residual_tol:
+    if resid > LP_RESIDUAL_TOL:
         raise ConvergenceError(
             f"phase-1 optimum {t_star:.2e} is ambiguous: weight residual {resid:.2e}",
             sol,

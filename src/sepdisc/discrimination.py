@@ -133,11 +133,18 @@ def _ppt_problem(e: Ensemble) -> SDPProblem:
     )
 
 
-def _require_optimal(sol: SDPSolution, label: str) -> None:
+def _accepted_measurement(sol: SDPSolution, n: int, label: str) -> Measurement:
+    """The measurement in the first n X blocks of an accepted solve. A solve
+    that is not optimal within GAP_TOL, or whose blocks fail the Measurement
+    checks, has not converged: ConvergenceError, carrying the solution."""
     if sol.status != conesolve.STATUS_OPTIMAL:
         raise ConvergenceError(f"{label} solve ended with status {sol.status}", sol)
     if abs(sol.gap) > GAP_TOL * (1.0 + abs(sol.dual_value)):
         raise ConvergenceError(f"{label} duality gap {sol.gap:.2e} above tolerance", sol)
+    try:
+        return Measurement(tuple(sol.x_blocks[:n]))
+    except ValueError as exc:
+        raise ConvergenceError(f"{label} solve was accepted, but {exc}", sol) from exc
 
 
 def optimal_global(e: Ensemble) -> DiscriminationResult:
@@ -147,12 +154,12 @@ def optimal_global(e: Ensemble) -> DiscriminationResult:
     also feasible for the PPT and separable dual cones.
     """
     sol = conesolve.solve_sdp(_global_problem(e))
-    _require_optimal(sol, "global discrimination")
+    measurement = _accepted_measurement(sol, len(e), "global discrimination")
     d = e.space.total_dim
     h = coords_to_herm(sol.y[: d * d], d)
     return DiscriminationResult(
         value=sol.primal_value,
-        measurement=Measurement(tuple(sol.x_blocks)),
+        measurement=measurement,
         certificate=DualCertificate(h, "psd-dual"),
         gap=sol.gap,
         solution=sol,
@@ -169,14 +176,14 @@ def optimal_ppt(e: Ensemble) -> DiscriminationResult:
     """
     n = len(e)
     sol = conesolve.solve_sdp(_ppt_problem(e))
-    _require_optimal(sol, "ppt discrimination")
+    measurement = _accepted_measurement(sol, n, "ppt discrimination")
     d = e.space.total_dim
     dd = d * d
     h = coords_to_herm(sol.y[:dd], d)
     parts = [(sol.z_blocks[k], sol.z_blocks[n + k]) for k in range(n)]
     return DiscriminationResult(
         value=sol.primal_value,
-        measurement=Measurement(tuple(sol.x_blocks[:n])),
+        measurement=measurement,
         certificate=DualCertificate(h, "ppt-dual"),
         gap=sol.gap,
         solution=sol,

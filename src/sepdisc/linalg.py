@@ -22,6 +22,7 @@ import numpy as np
 # Relative tolerance of the Hermiticity check. Inputs failing it are rejected
 # rather than symmetrized, to surface construction bugs.
 HERMITICITY_RTOL = 1e-12
+NULL_SPACE_RTOL = 1e-10
 
 
 class DimensionMismatchError(ValueError):
@@ -54,29 +55,32 @@ def vec(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat).reshape(-1)
 
 
-def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Return ``a`` as a complex array after checking H = H^dagger.
 
     Raises NonHermitianError when max |H[i,j] - conj(H[j,i])| exceeds
-    rtol * (1 + max |H|).
+    HERMITICITY_RTOL * (1 + max |H|).
     """
     h = np.asarray(a, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
     scale = 1.0 + (np.abs(h).max() if h.size else 0.0)
     dev = np.abs(h - h.conj().T).max() if h.size else 0.0
-    if dev > rtol * scale:
-        raise NonHermitianError(f"Hermiticity violation {dev:.3e} > {rtol:.1e} * {scale:.3e}")
+    if dev > HERMITICITY_RTOL * scale:
+        raise NonHermitianError(
+            f"Hermiticity violation {dev:.3e} > {HERMITICITY_RTOL:.1e} * {scale:.3e}"
+        )
     return h
 
 
-def eig_hermitian(h: np.ndarray, rtol: float = HERMITICITY_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    Rejects non-Hermitian input instead of symmetrizing it.
+    Rejects non-Hermitian input (see :func:`require_hermitian`) instead of
+    symmetrizing it.
     """
-    h = require_hermitian(h, rtol)
+    h = require_hermitian(h)
     return np.linalg.eigh(h)
 
 
@@ -196,11 +200,11 @@ def permute_factors_matrix(dims: tuple[int, ...], perm: tuple[int, ...]) -> np.n
     return p
 
 
-def orthogonal_complement(vectors: list[np.ndarray], dim: int, rtol: float = 1e-10) -> np.ndarray:
+def orthogonal_complement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the space orthogonal to all ``vectors``.
 
-    Membership threshold: singular values below rtol times the largest are
-    treated as zero.
+    Membership threshold: singular values below ``NULL_SPACE_RTOL`` times the
+    largest are treated as zero.
     """
     if not vectors:
         return np.eye(dim, dtype=complex)
@@ -208,7 +212,7 @@ def orthogonal_complement(vectors: list[np.ndarray], dim: int, rtol: float = 1e-
     if m.shape[1] != dim:
         raise DimensionMismatchError("vector length does not match dim")
     _, sv, vh = np.linalg.svd(m)
-    cutoff = rtol * (sv[0] if sv.size else 1.0)
+    cutoff = NULL_SPACE_RTOL * (sv[0] if sv.size else 1.0)
     rank = int(np.sum(sv > cutoff))
     return vh[rank:].conj().T
 

@@ -16,15 +16,18 @@ import numpy as np
 from .linalg import (
     BipartiteSpace,
     DimensionMismatchError,
+    NonHermitianError,
     PAULI,
     kron,
     permute_factors_matrix,
+    require_hermitian,
     vec,
 )
 
 PSD_TOL = 1e-10
 PROB_TOL = 1e-12
 UNIT_TOL = 1e-12
+PHASE_TOL = 1e-12
 
 CATALOG_NAMES = ("bell3", "bell4", "ydy", "domino", "tiles", "feng", "tiles_psi")
 
@@ -37,10 +40,11 @@ def ket(dim: int, coeffs: dict[int, complex]) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate the global phase so the first nonzero amplitude is real positive."""
+def fix_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate the global phase so the first amplitude above ``PHASE_TOL``
+    (relative to the largest, or to 1) is real positive."""
     v = np.asarray(v, dtype=complex)
-    nz = np.flatnonzero(np.abs(v) > tol * max(1.0, np.abs(v).max(initial=0.0)))
+    nz = np.flatnonzero(np.abs(v) > PHASE_TOL * max(1.0, np.abs(v).max(initial=0.0)))
     if nz.size == 0:
         return v
     a = v[nz[0]]
@@ -93,7 +97,9 @@ class ProductVector:
         x = np.asarray(self.x, dtype=complex)
         y = np.asarray(self.y, dtype=complex)
         for name, v in (("x", x), ("y", y)):
-            if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+            with np.errstate(over="ignore"):  # a huge entry: an infinite norm
+                norm = np.linalg.norm(v)
+            if not abs(norm - 1.0) <= UNIT_TOL:  # NaN fails too
                 raise ValueError(f"factor {name} is not a unit vector")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -123,15 +129,17 @@ class Ensemble:
     def __post_init__(self) -> None:
         states = tuple(self.space.check_operator(s) for s in self.states)
         probs = np.asarray(self.probs, dtype=float)
-        if len(states) != probs.size:
-            raise ValueError("states and probs must have equal length")
+        if probs.ndim != 1 or len(states) != probs.size:
+            raise ValueError("probs must be a flat list with one entry per state")
         if not np.all(np.isfinite(probs)):
             raise ValueError("probs must be finite")
         if probs.min(initial=0.0) < -PROB_TOL or abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValueError("probs must be nonnegative and sum to 1")
         for rho in states:
-            if np.abs(rho - rho.conj().T).max() > PSD_TOL:
-                raise ValueError("ensemble states must be Hermitian")
+            try:  # to the tolerance of every program built from the states
+                require_hermitian(rho)
+            except NonHermitianError as exc:
+                raise ValueError(f"ensemble states must be Hermitian: {exc}") from None
             if abs(np.trace(rho).real - 1.0) > PSD_TOL:
                 raise ValueError("ensemble states must have unit trace")
             if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -PSD_TOL:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conesolve
+from .certificates import DEFAULT_RESTARTS, DEFAULT_SEED, ConeSearchReport, block_positivity_search
 from .conesolve import DualCertificate, LPFeasibilityResult
+from .discrimination import Measurement
 from .linalg import BipartiteSpace, orthogonal_complement, partial_trace
 from .states import ProductVector, fix_phase, projector
 
@@ -168,7 +170,7 @@ class SeparableDiscriminationReport:
     """
 
     feasible: bool
-    measurement: "object | None"  # discrimination.Measurement when feasible
+    measurement: Measurement | None
     farkas: np.ndarray | None
     replacements: ReplacementSet
     lp: LPFeasibilityResult
@@ -182,8 +184,6 @@ def separable_perfect_discrimination(s: UPSet) -> SeparableDiscriminationReport:
     replacement projections; decided by LP feasibility, and the assembled
     measurement (or the Farkas witness) is re-verified directly.
     """
-    from .discrimination import Measurement
-
     reps = replacement_projections(s)
     flat = reps.all_vectors()
     columns = [pv.projection for pv in flat]
@@ -220,7 +220,9 @@ def separable_perfect_discrimination(s: UPSet) -> SeparableDiscriminationReport:
     return SeparableDiscriminationReport(True, meas, None, reps, lp)
 
 
-def min_product_overlap(s: UPSet, restarts: int | None = None, seed: int | None = None):
+def min_product_overlap(
+    s: UPSet, restarts: int = DEFAULT_RESTARTS, seed: int = DEFAULT_SEED
+) -> ConeSearchReport:
     """See-saw estimate of the minimal product overlap of the member
     projector sum (an upper estimate of the true minimum, with witness).
 
@@ -228,14 +230,7 @@ def min_product_overlap(s: UPSet, restarts: int | None = None, seed: int | None 
     minimum, so a sound certificate constant must never exceed this estimate;
     the estimate itself is advisory, not a certified lower bound.
     """
-    from .certificates import DEFAULT_RESTARTS, DEFAULT_SEED, block_positivity_search
-
-    return block_positivity_search(
-        s.projector_sum(),
-        s.space,
-        restarts if restarts is not None else DEFAULT_RESTARTS,
-        seed if seed is not None else DEFAULT_SEED,
-    )
+    return block_positivity_search(s.projector_sum(), s.space, restarts, seed)
 
 
 @dataclass
@@ -255,7 +250,8 @@ def ups_plus_state_bound(s: UPSet, z: np.ndarray, lam: float) -> UPSBoundReport:
     measurement is at most 1 - lam / ((N+1) delta). The returned certificate
     is H = (Pi + (1 - lam/delta) zz*) / (N+1); its slack against each member
     is PSD outright, and its slack against z is block positive whenever lam
-    is a valid constant.
+    is a valid constant. Raises ValueError unless lam is positive and lam /
+    delta is finite.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
@@ -271,6 +267,8 @@ def ups_plus_state_bound(s: UPSet, z: np.ndarray, lam: float) -> UPSBoundReport:
     n = len(s)
     zz = projector(z)
     delta = float(np.linalg.eigvalsh(partial_trace(zz, s.space, "x"))[-1])
+    if not math.isfinite(lam / delta):
+        raise ValueError(f"lam {lam!r} is too large: lam / delta overflows (delta = {delta!r})")
     bound = 1.0 - lam / ((n + 1) * delta)
     h = (s.projector_sum() + (1.0 - lam / delta) * zz) / (n + 1)
     cert = DualCertificate(h, "sep-dual")

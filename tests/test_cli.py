@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sepdisc.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REFUTED,
+    EXIT_SOLVER,
     InputError,
     decode_matrix,
     decode_vector,
@@ -94,6 +96,19 @@ def test_discriminate_rejects_bad_prior(tmp_path, capsys, prior, message):
     code, report = run(tmp_path, "discriminate", "bell4", "--class", "ppt", "--prior", prior)
     assert code == EXIT_INPUT and report is None
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_discriminate_takes_no_see_saw_flags(tmp_path, capsys):
+    # discriminate runs no see-saw search: --restarts and --seed are unknown
+    # flags there, and its report does not list them.
+    for flag in ("--restarts", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["discriminate", "bell4", flag, "1"])
+        assert exc.value.code == EXIT_INPUT
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    code, report = run(tmp_path, "discriminate", "bell4", "--class", "global")
+    assert code == EXIT_OK
+    assert report["inputs"] == {"family": "bell4", "measurement_class": "global"}
 
 
 def test_epsilon_only_for_bell_families(tmp_path):
@@ -190,6 +205,13 @@ def _bare_number_ensemble(path):
     path.write_text(json.dumps(data))
 
 
+def _float_factor_ensemble(path):
+    save_ensemble(str(path), catalog("bell3"))
+    data = json.loads(path.read_text())
+    data["space"]["factors_x"] = [2.0]  # the PPT program reshapes by the factors
+    path.write_text(json.dumps(data))
+
+
 @pytest.mark.parametrize(
     "argv, content, message",
     [
@@ -200,26 +222,83 @@ def _bare_number_ensemble(path):
         (["discriminate", "{path}", "--class", "global"],
          [[1, 2]], "expected a JSON object of kind 'ensemble'"),
         (["discriminate", "{path}", "--class", "global"],
-         None, "expected a list of [re, im] number pairs"),
+         _bare_number_ensemble, "expected a list of [re, im] number pairs"),
         (["discriminate", "{path}", "--class", "global"],
          {"kind": "ensemble", "states": [], "probs": []}, "'space'"),
         (["ups", "{path}", "--action", "check"],
          {"kind": "product_set", "space": {"dim_x": 3, "dim_y": 3}, "members": 5},
          "'int' object is not iterable"),
+        (["discriminate", "{path}", "--class", "ppt"],
+         _float_factor_ensemble,
+         "bad space header: 'float' object cannot be interpreted as an integer"),
+        (["discriminate", "{path}", "--class", "global"],
+         {"kind": "ensemble", "space": {"dim_x": 2.9, "dim_y": 2}, "states": [], "probs": []},
+         "bad space header: 'float' object cannot be interpreted as an integer"),
     ],
     ids=["ups-bound-z", "ups-check", "discriminate-list", "discriminate-bare-rows",
-         "discriminate-no-space", "ups-members-number"],
+         "discriminate-no-space", "ups-members-number", "discriminate-float-factor",
+         "discriminate-float-dim"],
 )
 def test_malformed_json_input_rejected(tmp_path, capsys, argv, content, message):
     # exit 2 with a one-line message and no traceback
     path = tmp_path / "input.json"
-    if content is None:
-        _bare_number_ensemble(path)
+    if callable(content):
+        content(path)
     else:
         path.write_text(json.dumps(content))
     code, report = run(tmp_path, *(a.format(path=path) for a in argv))
     assert code == EXIT_INPUT and report is None
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.fixture(params=["discriminate", "ups", "ups-bound-z"])
+def file_argv(request):
+    """argv template of each command that reads a JSON file named {path}."""
+    return {
+        "discriminate": ["discriminate", "{path}", "--class", "global"],
+        "ups": ["ups", "{path}", "--action", "check"],
+        "ups-bound-z": ["ups", "tiles", "--action", "bound", "--lambda", "analytic",
+                        "--z", "{path}"],
+    }[request.param]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe[1, 2]", b"[" * 100000, b'{"kind": '],
+    ids=["not-utf8", "deep-nesting", "truncated"],
+)
+def test_undecodable_json_input_rejected(tmp_path, capsys, file_argv, content):
+    # exit 2 with one line naming the file, not a traceback
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, report = run(tmp_path, *(a.format(path=path) for a in file_argv))
+    assert code == EXIT_INPUT and report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e999, 10**400],
+                         ids=["nan", "inf", "1e999", "huge-int"])
+def test_non_finite_entries_rejected(tmp_path, capsys, file_argv, bad):
+    # json.load takes NaN, Infinity, 1e999 and any int, and an entry must
+    # be finite as a float: each of these exits 2 naming the file.
+    path = tmp_path / "input.json"
+    if file_argv[0] == "discriminate":
+        save_ensemble(str(path), catalog("bell3"))
+        data = json.loads(path.read_text())
+        data["states"][0][0][0] = [bad, 0]
+    elif "--z" in file_argv:
+        data = [[0.5, 0], [0.5, 0], [-0.5, 0], [0, 0], [0, 0], [-0.5, bad]] + [[0, 0]] * 3
+    else:
+        write_product_set(path, (2, 2), [(0, 0), (0, 1), (1, 0), (1, 1)])
+        data = json.loads(path.read_text())
+        data["members"][0]["x"][0] = [1, bad]
+    path.write_text(json.dumps(data))
+    code, report = run(tmp_path, *(a.format(path=path) for a in file_argv))
+    assert code == EXIT_INPUT and report is None
+    err = capsys.readouterr().err
+    expected = "entry out of range: " if isinstance(bad, int) else "entries must be finite\n"
+    assert err.startswith(f"error: {path}: {expected}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -299,6 +378,34 @@ def test_ups_bound_rejects_non_finite_lambda(tmp_path, capsys):
         assert err == f"error: lam must be finite and positive, got {lam}\n"
 
 
+def test_ups_bound_rejects_overflowing_lambda(tmp_path, capsys):
+    # lam / delta would overflow to inf and fill the certificate with NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run(
+            tmp_path, "ups", "tiles", "--action", "bound", "--lambda=1.7976931348623157e+308"
+        )
+    assert code == EXIT_INPUT and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: lam 1.7976931348623157e+308 is too large: ")
+    assert err.count("\n") == 1
+    # A huge but finite ratio still builds a certificate, which the search refutes.
+    code, report = run(
+        tmp_path, "ups", "tiles", "--action", "bound", "--lambda=1e300", "--restarts", "20"
+    )
+    assert code == EXIT_REFUTED and report["outputs"]["outcome"] == "refuted"
+
+
+@pytest.mark.parametrize("action", ["check", "enumerate", "separable"])
+@pytest.mark.parametrize("flag, value", [("--lambda", "nonsense"), ("--z", "missing.json")])
+def test_bound_flags_rejected_by_other_ups_actions(tmp_path, capsys, action, flag, value):
+    # --lambda and --z act only with --action bound; elsewhere they are
+    # rejected, not ignored and recorded.
+    code, report = run(tmp_path, "ups", "tiles", "--action", action, flag, value)
+    assert code == EXIT_INPUT and report is None
+    assert capsys.readouterr().err == f"error: ups --action {action} takes no {flag}\n"
+
+
 def write_product_set(path, dims, pairs):
     """A product set of standard-basis pairs (i, j) -> |i> (x) |j>."""
     ex, ey = np.eye(dims[0]), np.eye(dims[1])
@@ -338,6 +445,30 @@ def test_ups_measurement_failure_is_not_an_input_error(monkeypatch):
     monkeypatch.setattr(cli, "separable_perfect_discrimination", bad_measurement)
     with pytest.raises(ValueError, match="sum to the identity"):
         main(["ups", "tiles", "--action", "separable"])
+
+
+@pytest.mark.parametrize("measurement_class", ["ppt", "global"])
+def test_accepted_solve_with_invalid_measurement_exits_3(monkeypatch, capsys, measurement_class):
+    # X blocks that fail the Measurement checks after an accepted solve are a
+    # non-convergence: exit 3 with the iterate log, not a traceback.
+    from sepdisc import conesolve
+
+    solve = conesolve.solve_sdp
+
+    def scaled(problem):
+        sol = solve(problem)
+        sol.x_blocks = [1.01 * x for x in sol.x_blocks]
+        return sol
+
+    monkeypatch.setattr(conesolve, "solve_sdp", scaled)
+    assert main(["discriminate", "bell4", "--class", measurement_class]) == EXIT_SOLVER
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (
+        f"error: {measurement_class} discrimination solve was accepted, "
+        "but measurement operators must sum to the identity"
+    )
+    assert err[1].startswith("iter\tprimal\tdual\t")
+    assert len(err) > 2
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):

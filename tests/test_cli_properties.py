@@ -3,6 +3,8 @@ test extra)."""
 
 import contextlib
 import io
+import json
+import math
 import pathlib
 import tempfile
 
@@ -98,3 +100,105 @@ def test_epsilon_values_end_in_an_exit_code(name, epsilon):
 @given(st.one_of(unit_floats, flag_values))
 def test_lambda_values_end_in_an_exit_code(lam):
     assert_clean_exit(["ups", "tiles", "--action", "bound", f"--lambda={lam}", "--restarts", "2"])
+
+
+# -- Fuzzed ensemble and product-set files --------------------------------------
+
+# Any JSON value: NaN and +-Infinity (json.dumps writes them as literals),
+# ints beyond the float range, bools, strings, and nested lists and objects.
+json_scalars = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**63, 0, 1, -1]),
+    st.none(), st.booleans(), st.floats(), st.integers(), st.text(max_size=4),
+)
+json_values = st.one_of(json_scalars, st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=8,
+))
+
+
+def _pair(c):
+    return [c.real, c.imag]
+
+
+# The smallest valid files: two orthogonal states on C^1 (x) C^2, whose global
+# solve takes a few milliseconds, and the standard basis of C^2 (x) C^2.
+VALID_FILES = {
+    "ensemble": {
+        "kind": "ensemble",
+        "space": {"dim_x": 1, "dim_y": 2, "factors_x": [1], "factors_y": [2]},
+        "probs": [0.5, 0.5],
+        "states": [
+            [[_pair(1), _pair(0)], [_pair(0), _pair(0)]],
+            [[_pair(0), _pair(0)], [_pair(0), _pair(1)]],
+        ],
+    },
+    "product_set": {
+        "kind": "product_set",
+        "space": {"dim_x": 2, "dim_y": 2},
+        "members": [
+            {"x": [_pair(i == 0), _pair(i == 1)], "y": [_pair(j == 0), _pair(j == 1)]}
+            for i in range(2) for j in range(2)
+        ],
+    },
+}
+FILE_ARGV = {
+    "ensemble": ["discriminate", "{path}", "--class", "global"],
+    "product_set": ["ups", "{path}", "--action", "check"],
+}
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON value, the value itself first."""
+    yield prefix
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _substituted(value, path, new):
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _substituted(value[path[0]], path[1:], new)
+    return out
+
+
+@st.composite
+def fuzzed_files(draw):
+    """(kind, file bytes): a valid file with one position replaced by any
+    JSON value, truncated, or raw bytes."""
+    kind = draw(st.sampled_from(sorted(VALID_FILES)))
+    valid = VALID_FILES[kind]
+    text = json.dumps(valid)
+    content = draw(st.one_of(
+        st.tuples(st.sampled_from(list(_paths(valid))), json_values).map(
+            lambda pv: json.dumps(_substituted(valid, *pv)).encode()),
+        st.integers(0, len(text) - 1).map(lambda n: text[:n].encode()),
+        st.binary(max_size=24),
+    ))
+    return kind, content
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(fuzzed_files())
+def test_fuzzed_input_files_end_in_an_exit_code(fuzzed):
+    # A file in any shape ends in an exit code, with exactly one line
+    # naming the file on exit 2, never an exception.
+    kind, content = fuzzed
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.json"
+        path.write_bytes(content)
+        argv = [a.format(path=path) for a in FILE_ARGV[kind]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_SOLVER), (content, code)
+    if code == EXIT_INPUT:
+        assert err.getvalue().startswith(f"error: {path}: "), (content, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (content, err.getvalue())

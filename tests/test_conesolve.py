@@ -1,3 +1,6 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
@@ -340,6 +343,31 @@ def test_dual_certificate_trace():
     cert = DualCertificate(h, "sep-dual")
     assert cert.claimed_value == 0.75
     assert cert.cone_tag == "sep-dual"
+    # The claimed value is the trace, never an argument.
+    with pytest.raises(TypeError):
+        DualCertificate(h, "sep-dual", claimed_value=0.5)
+
+
+@pytest.mark.parametrize(
+    "module, function, parameters",
+    [
+        ("conesolve", "weak_duality_ok", ["records"]),
+        ("conesolve", "independent_rows", ["rows"]),
+        ("conesolve", "verify_farkas", ["columns", "target", "w"]),
+        ("conesolve", "solve_lp_feasibility", ["columns", "target"]),
+        ("certificates", "block_positivity_search", ["h", "space", "restarts", "seed"]),
+        ("certificates", "breuer_hall_witness", ["u", "v"]),
+        ("linalg", "require_hermitian", ["a"]),
+        ("linalg", "eig_hermitian", ["h"]),
+        ("linalg", "orthogonal_complement", ["vectors", "dim"]),
+        ("states", "fix_phase", ["v"]),
+    ],
+)
+def test_tolerances_are_module_constants(module, function, parameters):
+    # Tolerances and iteration limits are fixed constants of their module,
+    # not keywords: no caller in the package sets one.
+    fn = getattr(importlib.import_module(f"sepdisc.{module}"), function)
+    assert list(inspect.signature(fn).parameters) == parameters
 
 
 # -- LP feasibility -----------------------------------------------------------

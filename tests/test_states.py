@@ -121,6 +121,10 @@ def test_fix_phase():
 def test_product_vector_validation():
     with pytest.raises(ValueError):
         ProductVector(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    # NaN and an overflowing norm fail the unit check too
+    for bad in (np.nan, 1e300):
+        with pytest.raises(ValueError, match="not a unit vector"):
+            ProductVector(np.array([1.0, bad]), np.array([1.0, 0.0]))
 
 
 def test_ensemble_validation():
@@ -134,6 +138,13 @@ def test_ensemble_validation():
         Ensemble(space, (good - 0.5 * np.eye(4),), np.array([1.0]))  # not PSD
     with pytest.raises(ValueError, match="finite"):
         Ensemble(space, (good, good), np.array([1.0, np.nan]))  # NaN fails both bounds
+    with pytest.raises(ValueError, match="flat list"):
+        Ensemble(space, (good,), np.float64(1.0))  # a bare number, not a list
+    # Hermitian to the tolerance of the programs built from it, not just 1e-10
+    skew = good.copy()
+    skew[0, 3] += 1e-11
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        Ensemble(space, (skew,), np.array([1.0]))
 
 
 def test_reorder_unitary_is_involution():
