@@ -35,13 +35,12 @@ from .discrimination import (
     sep_bound_from_certificate,
     three_bell_value,
 )
-from .linalg import BipartiteSpace, eig_hermitian, kron, partial_trace, partial_transpose, vec
+from .linalg import BipartiteSpace, kron, partial_trace, partial_transpose, vec
 from .states import Ensemble, ProductVector, bell, catalog, extend_with_resource, tau
 from .ups import (
     ReplacementSet,
     UPSet,
     is_unextendable,
-    min_product_overlap,
     replacement_projections,
     separable_perfect_discrimination,
     ups_plus_state_bound,

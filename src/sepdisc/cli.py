@@ -52,6 +52,7 @@ from .states import (
     ydy_unitaries,
 )
 from .ups import (
+    ExtraStateError,
     ProductSetError,
     UPSet,
     is_unextendable,
@@ -142,8 +143,9 @@ def load_ensemble(path: str) -> Ensemble:
     try:
         space = _decode_space(data["space"])
         states = tuple(decode_matrix(s) for s in data["states"])
-        probs = np.asarray(data["probs"], dtype=float)
-        return Ensemble(space, states, probs)
+        if not isinstance(data["probs"], list) or not all(map(_is_number, data["probs"])):
+            raise InputError("probs must be a list of numbers")
+        return Ensemble(space, states, np.asarray(data["probs"], dtype=float))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -349,7 +351,8 @@ def _enumerating(algorithm, name: str, ups_set: UPSet):
 
 def cmd_ups(args) -> tuple[dict, int]:
     if args.action != "bound":
-        for flag, value in (("--lambda", args.lam), ("--z", args.z)):
+        for flag, value in (("--lambda", args.lam), ("--z", args.z),
+                            ("--restarts", args.restarts), ("--seed", args.seed)):
             if value is not None:
                 raise InputError(f"ups --action {args.action} takes no {flag}")
     name, ups_set = _resolve_product_set(args)
@@ -390,6 +393,9 @@ def cmd_ups(args) -> tuple[dict, int]:
         return outputs, EXIT_OK
 
     if args.action == "bound":
+        # The one action that runs a see-saw; its inputs record the defaults.
+        args.restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
+        args.seed = DEFAULT_SEED if args.seed is None else args.seed
         if args.lam is None:
             raise InputError("the bound action requires --lambda")
         if args.lam == "analytic":
@@ -409,6 +415,8 @@ def cmd_ups(args) -> tuple[dict, int]:
             raise InputError("the bound action requires --z for this input")
         try:
             report = ups_plus_state_bound(ups_set, z, lam)
+        except ExtraStateError as exc:  # only a --z file can fail these checks
+            raise InputError(f"{args.z}: {exc}") from exc
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         n = len(ups_set)
@@ -472,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certified overlap constant (a float, or 'analytic' for tiles)")
     p.add_argument("--z", help="file holding the extra orthogonal state for 'bound'")
     common(p, see_saw=True)
-    p.set_defaults(func=cmd_ups)
+    # None unless given: only --action bound reads them, the others reject them.
+    p.set_defaults(func=cmd_ups, restarts=None, seed=None)
 
     return parser
 

@@ -18,19 +18,20 @@ rows, and it drops them itself with one rank-revealing QR.
 Every iteration takes a Mehrotra predictor-corrector step on the HKM
 direction of primal-dual path following (Mehrotra, SIAM J. Optim. 2, 1992).
 Both the predictor and the corrector solve the same Schur system with
-``np.linalg.solve``. When the problem carries strictly feasible primal/dual
-starting points (every program built by this package does), the iterates
-stay feasible up to roundoff that accumulates over the iterations. Near the
-optimum that roundoff is held down in two ways: a step whose primal defect
-|C dX - r_p| exceeds ``REFINE_TOL`` gets one step of iterative refinement
-(a third solve), and once mu and the gap meet ``DEFAULT_*`` the centring
-parameter is 1, so mu is not driven further toward 0 while only
-feasibility is missing. A solve stops once it meets the ``DEFAULT_*``
-tolerances, or once it has stalled: its iterate meets the looser
-``ACCEPT_*`` tolerances and, over the last ``STALL_WINDOW`` iterations,
-neither |gap| nor the primal residual has halved. A stalled solve, or one
-that stops for another reason at an iterate within ``ACCEPT_*``, is
-reported optimal.
+``np.linalg.solve``. Every problem must carry strictly feasible primal and
+dual starts, as every program built by this package does; the solver
+verifies them and raises ValueError naming the defect otherwise. So both
+optimal sets are bounded, and the iterates stay feasible up to roundoff
+that accumulates over the iterations. Near the optimum that roundoff is
+held down in two ways: a step whose primal defect |C dX - r_p| exceeds
+``REFINE_TOL`` gets one step of iterative refinement (a third solve), and
+once mu and the gap meet ``DEFAULT_*`` the centring parameter is 1, so mu
+is not driven further toward 0 while only feasibility is missing. A solve
+stops once it meets the ``DEFAULT_*`` tolerances, or once it has stalled:
+its iterate meets the looser ``ACCEPT_*`` tolerances and, over the last
+``STALL_WINDOW`` iterations, neither |gap| nor the primal residual has
+halved. A stalled solve, or one that stops for another reason at an
+iterate within ``ACCEPT_*``, is reported optimal.
 
 The Schur complement M = sum_b C_b W_b C_b^T is assembled sparsely, in the
 manner of Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997). The Hermitian
@@ -87,7 +88,6 @@ STALL_WINDOW = 3
 REFINE_TOL = 0.1 * DEFAULT_FEAS_TOL
 
 STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible-detected"
 STATUS_MAX_ITERATIONS = "max-iterations"
 
 # Why the iteration ended (SDPSolution.stop_reason); the status is separate:
@@ -96,7 +96,6 @@ STOP_CONVERGED = "converged"
 STOP_STALLED = "stalled"
 STOP_MAX_ITERATIONS = "max-iterations"
 STOP_STEP_COLLAPSE = "step-collapse"
-STOP_INFEASIBLE = "infeasible"
 STOP_FACTORIZATION_FAILED = "factorization-failed"
 
 
@@ -182,17 +181,18 @@ class SDPProblem:
     ``rows`` holds the constraint operators as real Hermitian-basis
     coordinates, one row per scalar equality; block coordinates are laid out
     consecutively (d_b^2 reals per block). The rows must be linearly
-    independent: :func:`solve_sdp` does not reduce them. ``primal_start`` /
-    ``dual_start`` are optional strictly feasible starting points; they are
-    verified before use and ignored if invalid.
+    independent: :func:`solve_sdp` does not reduce them. ``primal_start`` (X
+    blocks) and ``dual_start`` (y) are required strictly feasible starting
+    points; :func:`solve_sdp` verifies them and raises ValueError if either is
+    missing or invalid.
     """
 
     block_dims: tuple[int, ...]
     objective: tuple[np.ndarray, ...]
     rows: np.ndarray
     rhs: np.ndarray
-    primal_start: tuple[np.ndarray, ...] | None = None
-    dual_start: np.ndarray | None = None
+    primal_start: tuple[np.ndarray, ...]
+    dual_start: np.ndarray
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.block_dims)
@@ -400,30 +400,31 @@ def _max_step(stacks, dstacks) -> float:
     return alpha
 
 
-def _verify_primal_start(problem, c_rows, b, runs) -> list[np.ndarray] | None:
-    if problem.primal_start is None:
-        return None
+def _verified_starts(problem, c_rows, b, runs, a_coords) -> tuple:
+    """The starts as (X stacks, y, Z stacks); ValueError naming the first
+    defect unless both are strictly feasible."""
+    x0, y0, m = problem.primal_start, problem.dual_start, c_rows.shape[0]
+    if x0 is None or y0 is None:
+        raise ValueError(f"{'primal' if x0 is None else 'dual'} start is missing")
+    shapes = [np.shape(x) for x in x0]
+    if shapes != [(d, d) for d in problem.block_dims]:
+        raise ValueError(f"primal start blocks {shapes} do not match {problem.block_dims}")
     try:
-        blocks = [require_hermitian(x) for x in problem.primal_start]
-    except ValueError:
-        return None
-    if [x.shape[0] for x in blocks] != list(problem.block_dims):
-        return None
-    stacks = _stack(blocks, runs)
-    if not _positive_definite(stacks):
-        return None
-    resid = np.linalg.norm(c_rows @ _coords(stacks) - b)
+        x_stacks = _stack([require_hermitian(x) for x in x0], runs)
+    except ValueError as exc:
+        raise ValueError(f"primal start is not Hermitian: {exc}") from None
+    if not _positive_definite(x_stacks):
+        raise ValueError("primal start is not positive definite")
+    resid = np.linalg.norm(c_rows @ _coords(x_stacks) - b)
     if resid > 1e-10 * (1.0 + np.linalg.norm(b)):
-        return None
-    return stacks
-
-
-def _verify_dual_start(problem, c_rows, runs, a_coords) -> tuple:
-    if problem.dual_start is None or np.size(problem.dual_start) != c_rows.shape[0]:
-        return None, None
-    y = np.array(problem.dual_start, dtype=float)
-    z = _stacks(c_rows.T @ y - a_coords, runs)
-    return (y, z) if _positive_definite(z) else (None, None)
+        raise ValueError(f"primal start violates the rows by {resid:.2e}")
+    if np.shape(y0) != (m,):
+        raise ValueError(f"dual start has shape {np.shape(y0)}, not ({m},)")
+    y = np.array(y0, dtype=float)
+    z_stacks = _stacks(c_rows.T @ y - a_coords, runs)
+    if not _positive_definite(z_stacks):
+        raise ValueError("dual start's slack Z is not positive definite")
+    return x_stacks, y, z_stacks
 
 
 def _acceptable(record: IterateRecord, b_scale: float, a_scale: float) -> bool:
@@ -457,11 +458,13 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     Sigma is 1 once mu and the gap meet ``DEFAULT_*``. A third solve refines
     dy when the direction's primal defect exceeds ``REFINE_TOL``.
 
-    The rows must be linearly independent. At the first iterate X and Z^-1
-    are positive definite, so the Schur matrix is singular there exactly
-    when the rows are dependent, and that raises IllPosedProblemError. A
-    nearly dependent row set that still factors shows up in the primal
-    residual, which is measured over every row, and so in ``status``.
+    The starts must be strictly feasible: a missing or invalid one raises
+    ValueError naming the defect. The rows must be linearly independent. At
+    the first iterate X and Z^-1 are positive definite, so the Schur matrix
+    is singular there exactly when the rows are dependent, and that raises
+    IllPosedProblemError. A nearly dependent row set that still factors
+    shows up in the primal residual, which is measured over every row, and
+    so in ``status``.
 
     Deterministic: identical inputs produce identical iterate logs.
     Non-convergence is reported through ``status`` rather than an
@@ -481,13 +484,8 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     m_mat = m_flat.reshape(b.size, b.size).T
     work: dict = {}
 
-    x_stacks = _verify_primal_start(problem, c_rows, b, runs)
-    y, z_stacks = _verify_dual_start(problem, c_rows, runs, a_coords)
-    eta = 1.0 + float(np.linalg.norm(a_coords)) + float(np.abs(b).max(initial=0.0))
+    x_stacks, y, z_stacks = _verified_starts(problem, c_rows, b, runs, a_coords)
     eyes = [np.broadcast_to(np.eye(d, dtype=complex), (k, d, d)) for d, k in runs]
-    x_stacks = x_stacks or [eta * e for e in eyes]
-    if z_stacks is None:
-        y, z_stacks = np.zeros(b.size), [eta * e for e in eyes]
 
     b_scale = 1.0 + float(np.linalg.norm(b))
     a_scale = 1.0 + float(np.linalg.norm(a_coords))
@@ -525,9 +523,6 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             break
         if _stalled(records) and _acceptable(records[-1], b_scale, a_scale):
             stop_reason = STOP_STALLED
-            break
-        if float(np.linalg.norm(y)) > 1e12 * eta:
-            status, stop_reason = STATUS_INFEASIBLE, STOP_INFEASIBLE
             break
 
         try:
@@ -710,7 +705,10 @@ def solve_lp_feasibility(columns: list[np.ndarray], target: np.ndarray) -> LPFea
 
     Solved as a phase-1 problem on the SDP engine with 1x1 blocks: minimize
     the weight t of an artificial column R = target - sum(columns), starting
-    from the strictly feasible point (1, ..., 1). A phase-1 optimum above
+    from the strictly feasible point (1, ..., 1). A zero column gets weight 0
+    and no block, since its dual slack is 0 for every y; every other column
+    needs positive trace (ValueError otherwise), which makes the dual start
+    Y = c * identity strictly feasible. A phase-1 optimum above
     ``FARKAS_THRESHOLD`` yields a Farkas witness read from the dual
     multipliers; either certificate is re-verified by direct recomputation,
     the weights to ``LP_RESIDUAL_TOL``.
@@ -723,9 +721,13 @@ def solve_lp_feasibility(columns: list[np.ndarray], target: np.ndarray) -> LPFea
     if any(c.shape != (d, d) for c in cols):
         raise ValueError("columns and target must act on the same space")
 
-    ncol = len(cols)
-    artificial = tgt - sum(cols)
-    col_coords = np.ascontiguousarray(herm_to_coords(np.stack(cols + [artificial])).T)
+    live = [c.any() for c in cols]
+    used = [c for c, keep in zip(cols, live) if keep]
+    if not all(np.trace(c).real > 0.0 for c in used):
+        raise ValueError("every nonzero column must have positive trace")
+    ncol = len(used)
+    artificial = tgt - sum(used)
+    col_coords = np.ascontiguousarray(herm_to_coords(np.stack(used + [artificial])).T)
     rhs = herm_to_coords(tgt)
     # One row per coordinate of the d x d target against ncol + 1 columns:
     # the rows are dependent, and solve_sdp takes only independent ones. The
@@ -770,8 +772,8 @@ def solve_lp_feasibility(columns: list[np.ndarray], target: np.ndarray) -> LPFea
             )
         return LPFeasibilityResult(False, None, w, t_star, sol)
 
-    weights = np.array([float(x[0, 0].real) for x in sol.x_blocks[:-1]])
-    weights = np.maximum(weights, 0.0)
+    weights = np.zeros(len(cols))
+    weights[live] = np.maximum([float(x[0, 0].real) for x in sol.x_blocks[:-1]], 0.0)
     fit = sum(wk * ck for wk, ck in zip(weights, cols))
     resid = float(np.linalg.norm(fit - tgt))
     if resid > LP_RESIDUAL_TOL:

@@ -73,17 +73,6 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     return h
 
 
-def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    Rejects non-Hermitian input (see :func:`require_hermitian`) instead of
-    symmetrizing it.
-    """
-    h = require_hermitian(h)
-    return np.linalg.eigh(h)
-
-
 @dataclass(frozen=True)
 class BipartiteSpace:
     """Tensor-product space C^dim_x (x) C^dim_y with optional nested factors.

@@ -1,8 +1,7 @@
 """Unextendable-product-set algorithms: the unextendability decision, the
 finite enumeration of replacement product projections, the LP criterion for
-perfect separable discrimination, a numeric estimator of the minimal product
-overlap, and the certificate bounding discrimination of a UPS plus one extra
-orthogonal pure state.
+perfect separable discrimination, and the certificate bounding
+discrimination of a UPS plus one extra orthogonal pure state.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conesolve
-from .certificates import DEFAULT_RESTARTS, DEFAULT_SEED, ConeSearchReport, block_positivity_search
 from .conesolve import DualCertificate, LPFeasibilityResult
 from .discrimination import Measurement
 from .linalg import BipartiteSpace, orthogonal_complement, partial_trace
@@ -65,6 +63,11 @@ class UPSet:
 class UnextendabilityReport:
     unextendable: bool
     witness: ProductVector | None  # a product vector orthogonal to every member
+
+
+class ExtraStateError(ValueError):
+    """The extra state z of :func:`ups_plus_state_bound` is not a unit vector
+    on the set's space orthogonal to every member."""
 
 
 def _check_cap(s: UPSet) -> None:
@@ -220,19 +223,6 @@ def separable_perfect_discrimination(s: UPSet) -> SeparableDiscriminationReport:
     return SeparableDiscriminationReport(True, meas, None, reps, lp)
 
 
-def min_product_overlap(
-    s: UPSet, restarts: int = DEFAULT_RESTARTS, seed: int = DEFAULT_SEED
-) -> ConeSearchReport:
-    """See-saw estimate of the minimal product overlap of the member
-    projector sum (an upper estimate of the true minimum, with witness).
-
-    Any valid certified constant for the set is a lower bound on the true
-    minimum, so a sound certificate constant must never exceed this estimate;
-    the estimate itself is advisory, not a certified lower bound.
-    """
-    return block_positivity_search(s.projector_sum(), s.space, restarts, seed)
-
-
 @dataclass
 class UPSBoundReport:
     bound: float
@@ -251,18 +241,21 @@ def ups_plus_state_bound(s: UPSet, z: np.ndarray, lam: float) -> UPSBoundReport:
     is H = (Pi + (1 - lam/delta) zz*) / (N+1); its slack against each member
     is PSD outright, and its slack against z is block positive whenever lam
     is a valid constant. Raises ValueError unless lam is positive and lam /
-    delta is finite.
+    delta is finite, and ExtraStateError unless z is a unit vector on the
+    set's space orthogonal to every member.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
     z = np.asarray(z, dtype=complex)
     if z.size != s.space.total_dim:
-        raise ValueError("z does not live on the set's space")
-    if abs(np.linalg.norm(z) - 1.0) > 1e-10:
-        raise ValueError("z must be a unit vector")
+        raise ExtraStateError("z does not live on the set's space")
+    with np.errstate(over="ignore"):  # a huge entry: an infinite norm
+        norm = np.linalg.norm(z)
+    if abs(norm - 1.0) > 1e-10:
+        raise ExtraStateError("z must be a unit vector")
     for k, member in enumerate(s.members):
         if abs(np.vdot(member.vector, z)) > ORTHOGONALITY_TOL:
-            raise ValueError(f"z is not orthogonal to member {k}")
+            raise ExtraStateError(f"z is not orthogonal to member {k}")
 
     n = len(s)
     zz = projector(z)

@@ -42,7 +42,6 @@ from sepdisc.states import (
 )
 from sepdisc.ups import (
     is_unextendable,
-    min_product_overlap,
     replacement_projections,
     separable_perfect_discrimination,
     tiles_overlap_constant,
@@ -224,7 +223,7 @@ def test_criterion_7_tiles_plus_state():
     report = ups_plus_state_bound(tiles, z, lam)
     delta_err = abs(report.delta - np.cos(np.pi / 8) ** 2)
     formula_err = abs(report.bound - (1 - lam / (6 * report.delta)))
-    estimate = min_product_overlap(tiles, restarts=1000, seed=DEFAULT_SEED)
+    estimate = block_positivity_search(tiles.projector_sum(), tiles.space, 1000, DEFAULT_SEED)
     ok = (
         delta_err <= 1e-12
         and formula_err <= 1e-14

@@ -212,6 +212,17 @@ def _float_factor_ensemble(path):
     path.write_text(json.dumps(data))
 
 
+def _probs_ensemble(probs):
+    """Writes bell3 with its probs replaced; a string or bool is not a number,
+    although float() would take it."""
+    def write(path):
+        save_ensemble(str(path), catalog("bell3"))
+        data = json.loads(path.read_text())
+        data["probs"] = probs
+        path.write_text(json.dumps(data))
+    return write
+
+
 @pytest.mark.parametrize(
     "argv, content, message",
     [
@@ -234,10 +245,17 @@ def _float_factor_ensemble(path):
         (["discriminate", "{path}", "--class", "global"],
          {"kind": "ensemble", "space": {"dim_x": 2.9, "dim_y": 2}, "states": [], "probs": []},
          "bad space header: 'float' object cannot be interpreted as an integer"),
+        (["discriminate", "{path}", "--class", "global"],
+         _probs_ensemble(["0.5", "0.25", "0.25"]), "probs must be a list of numbers"),
+        (["discriminate", "{path}", "--class", "global"],
+         _probs_ensemble([True, 0, 0]), "probs must be a list of numbers"),
+        (["discriminate", "{path}", "--class", "global"],
+         _probs_ensemble(0.5), "probs must be a list of numbers"),
     ],
     ids=["ups-bound-z", "ups-check", "discriminate-list", "discriminate-bare-rows",
          "discriminate-no-space", "ups-members-number", "discriminate-float-factor",
-         "discriminate-float-dim"],
+         "discriminate-float-dim", "discriminate-string-probs", "discriminate-bool-probs",
+         "discriminate-number-probs"],
 )
 def test_malformed_json_input_rejected(tmp_path, capsys, argv, content, message):
     # exit 2 with a one-line message and no traceback
@@ -397,10 +415,12 @@ def test_ups_bound_rejects_overflowing_lambda(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("action", ["check", "enumerate", "separable"])
-@pytest.mark.parametrize("flag, value", [("--lambda", "nonsense"), ("--z", "missing.json")])
+@pytest.mark.parametrize("flag, value", [("--lambda", "nonsense"), ("--z", "missing.json"),
+                                         ("--restarts", "2"), ("--seed", "3")])
 def test_bound_flags_rejected_by_other_ups_actions(tmp_path, capsys, action, flag, value):
-    # --lambda and --z act only with --action bound; elsewhere they are
-    # rejected, not ignored and recorded.
+    # --lambda and --z, and the see-saw's --restarts and --seed, act only
+    # with --action bound; elsewhere they are rejected, not ignored and
+    # recorded.
     code, report = run(tmp_path, "ups", "tiles", "--action", action, flag, value)
     assert code == EXIT_INPUT and report is None
     assert capsys.readouterr().err == f"error: ups --action {action} takes no {flag}\n"

@@ -14,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from sepdisc.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUTED, EXIT_SOLVER, main
+from sepdisc.states import tiles_orthogonal_state
 from test_cli import write_product_set
 
 
@@ -124,7 +125,8 @@ def _pair(c):
 
 
 # The smallest valid files: two orthogonal states on C^1 (x) C^2, whose global
-# solve takes a few milliseconds, and the standard basis of C^2 (x) C^2.
+# and PPT solves take a few milliseconds, the standard basis of C^2 (x) C^2,
+# and the tiles set's orthogonal state as a --z file.
 VALID_FILES = {
     "ensemble": {
         "kind": "ensemble",
@@ -143,11 +145,17 @@ VALID_FILES = {
             for i in range(2) for j in range(2)
         ],
     },
+    "z": [_pair(c) for c in tiles_orthogonal_state()],
 }
-FILE_ARGV = {
-    "ensemble": ["discriminate", "{path}", "--class", "global"],
-    "product_set": ["ups", "{path}", "--action", "check"],
-}
+# Each command that reads a file, with the kind of file it reads; the bound's
+# see-saw runs two restarts.
+FILE_ARGV = [
+    ("ensemble", ["discriminate", "{path}", "--class", "global"]),
+    ("ensemble", ["discriminate", "{path}", "--class", "ppt"]),
+    ("product_set", ["ups", "{path}", "--action", "check"]),
+    ("z", ["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--z", "{path}",
+           "--restarts", "2"]),
+]
 
 
 def _paths(value, prefix=()):
@@ -171,9 +179,9 @@ def _substituted(value, path, new):
 
 @st.composite
 def fuzzed_files(draw):
-    """(kind, file bytes): a valid file with one position replaced by any
-    JSON value, truncated, or raw bytes."""
-    kind = draw(st.sampled_from(sorted(VALID_FILES)))
+    """(argv, file bytes): a command and a valid file of its kind with one
+    position replaced by any JSON value, truncated, or raw bytes."""
+    kind, argv = draw(st.sampled_from(FILE_ARGV))
     valid = VALID_FILES[kind]
     text = json.dumps(valid)
     content = draw(st.one_of(
@@ -182,7 +190,7 @@ def fuzzed_files(draw):
         st.integers(0, len(text) - 1).map(lambda n: text[:n].encode()),
         st.binary(max_size=24),
     ))
-    return kind, content
+    return argv, content
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -190,15 +198,14 @@ def fuzzed_files(draw):
 def test_fuzzed_input_files_end_in_an_exit_code(fuzzed):
     # A file in any shape ends in an exit code, with exactly one line
     # naming the file on exit 2, never an exception.
-    kind, content = fuzzed
+    argv, content = fuzzed
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "input.json"
         path.write_bytes(content)
-        argv = [a.format(path=path) for a in FILE_ARGV[kind]]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (EXIT_OK, EXIT_INPUT, EXIT_SOLVER), (content, code)
+            code = main([a.format(path=path) for a in argv])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_SOLVER, EXIT_REFUTED), (content, code)
     if code == EXIT_INPUT:
         assert err.getvalue().startswith(f"error: {path}: "), (content, err.getvalue())
         assert err.getvalue().count("\n") == 1, (content, err.getvalue())

@@ -27,11 +27,14 @@ from sepdisc.states import catalog, extend_ensemble
 
 
 def forced_point_problem():
+    # maximize X s.t. X = 1: the start X = 1 is the optimum, y = 2 gives Z = 1.
     return SDPProblem(
         block_dims=(1,),
         objective=(np.ones((1, 1), dtype=complex),),
         rows=np.array([[1.0]]),
         rhs=np.array([1.0]),
+        primal_start=(np.ones((1, 1), dtype=complex),),
+        dual_start=np.array([2.0]),
     )
 
 
@@ -104,17 +107,22 @@ def test_redundant_rows_dropped():
 
 
 def test_inconsistent_rows_raise():
-    # solve_sdp takes independent rows only: a duplicated row makes the Schur
-    # matrix singular at the first iterate, with a consistent rhs or not.
-    for rhs in ([1.0, 1.0], [1.0, 2.0]):
-        prob = SDPProblem(
-            block_dims=(1,),
-            objective=(np.ones((1, 1), dtype=complex),),
-            rows=np.array([[1.0], [1.0]]),
-            rhs=np.array(rhs),
-        )
-        with pytest.raises(IllPosedProblemError):
-            solve_sdp(prob)
+    # solve_sdp takes independent rows only: a duplicated row with a
+    # consistent rhs makes the Schur matrix singular at the first iterate.
+    # With an inconsistent rhs no primal start exists, and the start check
+    # rejects the one given.
+    data = dict(
+        block_dims=(1,),
+        objective=(np.ones((1, 1), dtype=complex),),
+        rows=np.array([[1.0], [1.0]]),
+        primal_start=(np.ones((1, 1), dtype=complex),),
+        dual_start=np.array([1.0, 1.0]),
+    )
+    with pytest.raises(IllPosedProblemError):
+        solve_sdp(SDPProblem(**data, rhs=np.array([1.0, 1.0])))
+    with pytest.raises(ValueError, match=r"primal start violates the rows by 1.00e\+00") as info:
+        solve_sdp(SDPProblem(**data, rhs=np.array([1.0, 2.0])))
+    assert not isinstance(info.value, IllPosedProblemError)
 
 
 def test_independent_rows_selection():
@@ -313,19 +321,49 @@ def test_stacked_step_length_matches_per_block_reference(rng):
         assert _max_step(stacks, dstacks) == 0.0
 
 
-def test_wrong_shaped_primal_start_falls_back_to_default_start():
-    # maximize <diag(1, 0), X> s.t. Tr X = 1 on one 2 x 2 block: value 1. A
-    # 3 x 3 start does not fit the block, and is ignored like any invalid start.
-    data = dict(
-        block_dims=(2,),
-        objective=(np.diag([1.0, 0.0]).astype(complex),),
-        rows=herm_to_coords(np.eye(2, dtype=complex))[None, :],
-        rhs=np.array([1.0]),
-    )
-    sol = solve_sdp(SDPProblem(**data, primal_start=(np.eye(3, dtype=complex) / 3,)))
-    assert sol.status == "optimal"
-    assert abs(sol.primal_value - 1.0) <= 1e-8
-    assert sol.log == solve_sdp(SDPProblem(**data)).log
+# maximize <diag(1, 0), X> s.t. Tr X = 1 on one 2 x 2 block: value 1, with
+# the strictly feasible starts X = 1/2 and y = 2 (Z = diag(1, 2)).
+_TRACE_ONE = dict(
+    block_dims=(2,),
+    objective=(np.diag([1.0, 0.0]).astype(complex),),
+    rows=herm_to_coords(np.eye(2, dtype=complex))[None, :],
+    rhs=np.array([1.0]),
+)
+
+
+@pytest.mark.parametrize(
+    "starts, message",
+    [
+        ({"primal_start": None}, "primal start is missing"),
+        ({"primal_start": (np.eye(3, dtype=complex) / 3,)},
+         r"primal start blocks \[\(3, 3\)\] do not match \(2,\)"),
+        ({"primal_start": (np.eye(2) / 2, np.eye(2) / 2)},
+         r"primal start blocks \[\(2, 2\), \(2, 2\)\] do not match \(2,\)"),
+        ({"primal_start": (np.array([[0.5, 0.1], [0.0, 0.5]]),)},
+         "primal start is not Hermitian: Hermiticity violation"),
+        ({"primal_start": (np.diag([1.0, 0.0]),)}, "primal start is not positive definite"),
+        ({"primal_start": (np.eye(2) / 3,)}, "primal start violates the rows by 3.33e-01"),
+        ({"dual_start": None}, "dual start is missing"),
+        ({"dual_start": np.array([2.0, 0.0])}, r"dual start has shape \(2,\), not \(1,\)"),
+        ({"dual_start": np.array([[2.0]])}, r"dual start has shape \(1, 1\), not \(1,\)"),
+        ({"dual_start": np.array([1.0])}, "dual start's slack Z is not positive definite"),
+    ],
+    ids=["primal-missing", "primal-block-shape", "primal-block-count", "primal-not-hermitian",
+         "primal-not-definite", "primal-rows-violated", "dual-missing", "dual-wrong-length",
+         "dual-not-a-vector", "dual-slack-not-definite"],
+)
+def test_invalid_start_raises(starts, message):
+    # Every start is verified; there is no fallback start to solve from.
+    valid = dict(primal_start=(np.eye(2, dtype=complex) / 2,), dual_start=np.array([2.0]))
+    sol = solve_sdp(SDPProblem(**_TRACE_ONE, **valid))
+    assert sol.status == "optimal" and abs(sol.primal_value - 1.0) <= 1e-8
+    with pytest.raises(ValueError, match=message):
+        solve_sdp(SDPProblem(**_TRACE_ONE, **{**valid, **starts}))
+
+
+def test_starts_are_required_fields():
+    with pytest.raises(TypeError):
+        SDPProblem(**_TRACE_ONE)
 
 
 def test_no_workspace_state_leaks_between_solves():
@@ -358,7 +396,7 @@ def test_dual_certificate_trace():
         ("certificates", "block_positivity_search", ["h", "space", "restarts", "seed"]),
         ("certificates", "breuer_hall_witness", ["u", "v"]),
         ("linalg", "require_hermitian", ["a"]),
-        ("linalg", "eig_hermitian", ["h"]),
+        ("conesolve", "solve_sdp", ["problem"]),
         ("linalg", "orthogonal_complement", ["vectors", "dim"]),
         ("states", "fix_phase", ["v"]),
     ],
@@ -386,7 +424,8 @@ def test_lp_diagonal_weights():
 
 
 def test_lp_zero_column_leaves_block_untouched():
-    # The zero column's 1x1 block appears in no constraint row.
+    # A zero column's dual slack is 0 for every y, so it would admit no
+    # strictly feasible dual start: it gets no block and weight 0.
     cols = [
         np.diag([1.0, 0.0]).astype(complex),
         np.zeros((2, 2), dtype=complex),
@@ -394,6 +433,8 @@ def test_lp_zero_column_leaves_block_untouched():
     ]
     res = solve_lp_feasibility(cols, np.eye(2, dtype=complex))
     assert res.feasible
+    assert len(res.solution.x_blocks) == 3  # two columns and the artificial one
+    assert res.weights[1] == 0.0
     assert np.allclose(res.weights[[0, 2]], [1.0, 1.0], atol=1e-7)
     ok, worst = weak_duality_ok(res.solution.log)
     assert ok, worst
@@ -425,6 +466,21 @@ def test_lp_branches_mutually_exclusive():
     cols = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     res = solve_lp_feasibility(cols, np.eye(2, dtype=complex))
     assert (res.weights is None) != (res.farkas is None)
+
+
+def test_lp_only_zero_columns():
+    zero = np.zeros((2, 2), dtype=complex)
+    res = solve_lp_feasibility([zero, zero], np.eye(2, dtype=complex))
+    assert not res.feasible and res.weights is None
+    assert verify_farkas([zero, zero], np.eye(2, dtype=complex), res.farkas)
+
+
+@pytest.mark.parametrize("column", [np.diag([1.0, -1.0]), np.diag([-1.0, 0.0])])
+def test_lp_rejects_column_without_positive_trace(column):
+    # The phase-1 dual start c * identity has slack c * Tr(column).
+    cols = [np.eye(2, dtype=complex), column.astype(complex)]
+    with pytest.raises(ValueError, match="every nonzero column must have positive trace"):
+        solve_lp_feasibility(cols, np.eye(2, dtype=complex))
 
 
 def test_lp_empty_columns():

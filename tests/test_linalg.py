@@ -7,7 +7,6 @@ from sepdisc.linalg import (
     NonHermitianError,
     PAULI,
     coords_to_herm,
-    eig_hermitian,
     herm_to_coords,
     hermitian_basis_matrix,
     kron,
@@ -15,6 +14,7 @@ from sepdisc.linalg import (
     partial_trace,
     partial_transpose,
     permute_factors_matrix,
+    require_hermitian,
     transpose_factors,
     vec,
 )
@@ -139,13 +139,7 @@ def test_vec_linearity_and_inner_product(rng):
     assert abs(np.vdot(vec(a), vec(b)) - hs) <= 1e-12 * abs(hs)
 
 
-# -- eigendecomposition ------------------------------------------------------
-
-
-def test_eig_pauli_z():
-    w, v = eig_hermitian(PAULI[3])
-    assert np.allclose(w, [-1.0, 1.0])
-    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
+# -- partial trace ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.3, 0.9])
@@ -157,21 +151,9 @@ def test_resource_marginal_spectrum(eps):
         assert np.allclose(w, [(1 - eps) / 2, (1 + eps) / 2], atol=1e-14)
 
 
-def test_eig_reconstruction(rng):
-    h = random_hermitian(rng, 8)
-    w, v = eig_hermitian(h)
-    recon = (v * w) @ v.conj().T
-    assert np.linalg.norm(recon - h) <= 1e-12 * (1 + np.linalg.norm(h))
-    assert np.all(np.diff(w) >= 0)
-    assert abs(w.sum() - np.trace(h).real) <= 1e-11 * (1 + abs(np.trace(h).real))
-
-
-def test_eig_rejects_non_hermitian():
+def test_require_hermitian_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-# -- partial trace ------------------------------------------------------------
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_partial_trace_bell_marginal():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from feng_fixture import EXPECTED_REPLACEMENTS
+from sepdisc.certificates import block_positivity_search
 from sepdisc.conesolve import verify_farkas
 from sepdisc.linalg import BipartiteSpace, orthogonal_complement
 from sepdisc.states import ProductVector, catalog, fix_phase, projector, tiles_orthogonal_state
@@ -9,7 +10,6 @@ from sepdisc.ups import (
     DEDUP_OVERLAP,
     UPSet,
     is_unextendable,
-    min_product_overlap,
     replacement_projections,
     separable_perfect_discrimination,
     tiles_overlap_constant,
@@ -172,18 +172,20 @@ def test_min_product_overlap_complete_basis():
         BipartiteSpace(2, 2),
         tuple(pv(E2[i], E2[j]) for i in range(2) for j in range(2)),
     )
-    report = min_product_overlap(basis, restarts=30, seed=11)
+    report = block_positivity_search(basis.projector_sum(), basis.space, 30, 11)
     assert abs(report.min_overlap - 1.0) <= 1e-10
 
 
 def test_min_product_overlap_tiles_dominates_analytic_constant():
-    report = min_product_overlap(catalog("tiles"), restarts=300, seed=11)
+    s = catalog("tiles")
+    report = block_positivity_search(s.projector_sum(), s.space, 300, 11)
     assert report.min_overlap >= tiles_overlap_constant()
     assert report.min_overlap > 0
 
 
 def test_min_product_overlap_feng_positive():
-    report = min_product_overlap(catalog("feng"), restarts=200, seed=11)
+    s = catalog("feng")
+    report = block_positivity_search(s.projector_sum(), s.space, 200, 11)
     assert report.min_overlap > 0
 
 
