@@ -36,10 +36,9 @@ from .discrimination import (
     three_bell_value,
 )
 from .linalg import BipartiteSpace, kron, partial_trace, partial_transpose, vec
-from .states import Ensemble, ProductVector, bell, catalog, extend_with_resource, tau
+from .states import Ensemble, ProductVector, UPSet, bell, catalog, extend_ensemble, tau
 from .ups import (
     ReplacementSet,
-    UPSet,
     is_unextendable,
     replacement_projections,
     separable_perfect_discrimination,

@@ -21,17 +21,18 @@ from .linalg import (
     BipartiteSpace,
     PAULI,
     kron,
+    partial_transpose,
     require_hermitian,
-    transpose_factors,
     vec,
 )
 from .states import (
     ProductVector,
     bell,
-    extend_with_resource,
+    catalog,
+    extend_ensemble,
     fix_phase,
     projector,
-    resource_reorder_unitary,
+    resource_frame_to_xy,
     tau,
 )
 
@@ -114,12 +115,6 @@ def choi_matrix(apply_fn, dim_x: int, dim_y: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _resource_frame_to_xy(op: np.ndarray) -> np.ndarray:
-    """Conjugate an operator on X1 Y1 X2 Y2 into the (X1 X2) : (Y1 Y2) frame."""
-    w = resource_reorder_unitary()
-    return w.T @ op @ w
-
-
 def three_bell_resource_certificate(
     epsilon: float,
 ) -> tuple[DualCertificate, list[np.ndarray]]:
@@ -136,11 +131,11 @@ def three_bell_resource_certificate(
     root = math.sqrt(1.0 - epsilon * epsilon)
     phi4 = projector(bell(4))
     tau_op = projector(tau(epsilon))
-    phi4_pt = transpose_factors(phi4, (2, 2), (0,))
+    phi4_pt = partial_transpose(phi4, 2, 2)
     h_paired = (kron(np.eye(4, dtype=complex), tau_op) / 2.0 + root * kron(phi4, phi4_pt)) / 3.0
-    h = _resource_frame_to_xy(h_paired)
+    h = resource_frame_to_xy(h_paired)
     slacks = [
-        _resource_frame_to_xy(h_paired - kron(projector(bell(k)), tau_op) / 3.0)
+        resource_frame_to_xy(h_paired - kron(projector(bell(k)), tau_op) / 3.0)
         for k in (1, 2, 3)
     ]
     return DualCertificate(h, "sep-dual"), slacks
@@ -193,21 +188,21 @@ def four_bell_resource_certificate(epsilon: float) -> DualCertificate:
     root = math.sqrt(max(0.0, 1.0 - epsilon * epsilon))
     phi4 = projector(bell(4))
     tau_op = projector(tau(epsilon))
-    phi4_pt = transpose_factors(phi4, (2, 2), (0,))
+    phi4_pt = partial_transpose(phi4, 2, 2)
     eye4 = np.eye(4, dtype=complex)
     h_paired = (kron(eye4, tau_op) + root * kron(eye4, phi4_pt)) / 8.0
-    return DualCertificate(_resource_frame_to_xy(h_paired), "ppt-dual")
+    return DualCertificate(resource_frame_to_xy(h_paired), "ppt-dual")
 
 
 def four_bell_certificate_psd_margins(epsilon: float) -> list[float]:
     """Minimum eigenvalues of the partially transposed slack operators of the
     four-Bell certificate; all must be nonnegative up to roundoff."""
     cert = four_bell_resource_certificate(epsilon)
-    ens = extend_with_resource([bell(k) for k in (1, 2, 3, 4)], epsilon)
+    ens = extend_ensemble(catalog("bell4"), epsilon)
     margins = []
     for rho in ens.states:
         slack = cert.matrix - rho / 4.0
-        pt = transpose_factors(slack, ens.space.dims, ens.space.axes("x"))
+        pt = partial_transpose(slack, 4, 4)
         margins.append(float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0]))
     return margins
 
@@ -240,7 +235,7 @@ def breuer_hall_witness(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     vu = vec(u)
     vv = vec(v)
     witness = kron(eye, eye) - np.outer(vu, vu.conj())
-    witness -= transpose_factors(np.outer(vv, vv.conj()), (n, n), (0,))
+    witness -= partial_transpose(np.outer(vv, vv.conj()), n, n)
     return witness
 
 
@@ -250,7 +245,7 @@ def ydy_certificate() -> DualCertificate:
     V = i sigma_2 (x) sigma_3."""
     v = 1j * kron(PAULI[2], PAULI[3])
     vv = vec(v)
-    h = (np.eye(16, dtype=complex) - transpose_factors(np.outer(vv, vv.conj()), (4, 4), (0,))) / 16.0
+    h = (np.eye(16, dtype=complex) - partial_transpose(np.outer(vv, vv.conj()), 4, 4)) / 16.0
     return DualCertificate(h, "sep-dual")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 import time
@@ -45,6 +46,7 @@ from .states import (
     CATALOG_NAMES,
     Ensemble,
     ProductVector,
+    UPSet,
     catalog,
     extend_ensemble,
     projector,
@@ -54,7 +56,6 @@ from .states import (
 from .ups import (
     ExtraStateError,
     ProductSetError,
-    UPSet,
     is_unextendable,
     replacement_projections,
     separable_perfect_discrimination,
@@ -114,12 +115,13 @@ def decode_matrix(data) -> np.ndarray:
 
 def _decode_space(data) -> BipartiteSpace:
     try:
-        return BipartiteSpace(
-            operator.index(data["dim_x"]),
-            operator.index(data["dim_y"]),
-            tuple(operator.index(f) for f in data.get("factors_x") or ()),
-            tuple(operator.index(f) for f in data.get("factors_y") or ()),
-        )
+        space = BipartiteSpace(operator.index(data["dim_x"]), operator.index(data["dim_y"]))
+        # Older files carry nested factors of each side; check them, then drop them.
+        for key, dim in (("factors_x", space.dim_x), ("factors_y", space.dim_y)):
+            factors = [operator.index(f) for f in data.get(key) or ()]
+            if factors and math.prod(factors) != dim:
+                raise ValueError("nested factor dims must multiply to the side dim")
+        return space
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad space header: {exc}") from exc
 
@@ -174,12 +176,7 @@ def load_vector(path: str) -> np.ndarray:
 def save_ensemble(path: str, e: Ensemble) -> None:
     data = {
         "kind": "ensemble",
-        "space": {
-            "dim_x": e.space.dim_x,
-            "dim_y": e.space.dim_y,
-            "factors_x": list(e.space.factors_x),
-            "factors_y": list(e.space.factors_y),
-        },
+        "space": {"dim_x": e.space.dim_x, "dim_y": e.space.dim_y},
         "probs": [float(p) for p in e.probs],
         "states": [encode_matrix(s) for s in e.states],
     }

@@ -396,7 +396,8 @@ def _max_step(stacks, dstacks) -> float:
         w = np.linalg.solve(ell, ds)
         t = np.linalg.solve(ell, w.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
         lam = np.linalg.eigvalsh(_sym(t))[:, 0]
-        alpha = min([alpha, *(-BOUNDARY_FRACTION / lam[lam < 0.0]).tolist()])
+        with np.errstate(over="ignore"):  # a subnormal lam: +inf, which min drops
+            alpha = min([alpha, *(-BOUNDARY_FRACTION / lam[lam < 0.0]).tolist()])
     return alpha
 
 

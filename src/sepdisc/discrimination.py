@@ -22,7 +22,7 @@ from .certificates import (
     block_positivity_search,
 )
 from .conesolve import ConvergenceError, DualCertificate, SDPProblem, SDPSolution
-from .linalg import coords_to_herm, herm_to_coords, real_map_matrix, transpose_factors
+from .linalg import coords_to_herm, herm_to_coords, partial_transpose, real_map_matrix
 from .states import Ensemble
 
 MEASUREMENT_PSD_TOL = 1e-9
@@ -102,9 +102,8 @@ def _ppt_problem(e: Ensemble) -> SDPProblem:
     n = len(e)
     d = e.space.total_dim
     dd = d * d
-    dims = e.space.dims
-    x_axes = e.space.axes("x")
-    pt_real = real_map_matrix(lambda b: transpose_factors(b, dims, x_axes), d)
+    dx, dy = e.space.dim_x, e.space.dim_y
+    pt_real = real_map_matrix(lambda b: partial_transpose(b, dx, dy), d)
 
     n_cols = 2 * n * dd
     id_rows, id_rhs = _identity_rows(d, n, dd)

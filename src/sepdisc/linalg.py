@@ -3,10 +3,10 @@
 Everything downstream (state constructors, the cone solver, certificate
 checks) runs on plain ``numpy`` arrays; this module supplies the bipartite
 bookkeeping and the handful of primitives the rest of the package is built
-from: Kronecker products, partial transpose / partial trace over named tensor
-factors, the row-major vec correspondence, Hermitian eigendecompositions, and
-the fixed orthonormal real basis of the Hermitian operators that exposes them
-to the solver as real coordinate vectors.
+from: Kronecker products, the partial transpose T_X and partial trace Tr_X
+on C^dim_x (x) C^dim_y, factor permutations, the row-major vec
+correspondence, and the fixed orthonormal real basis of the Hermitian
+operators that exposes them to the solver as real coordinate vectors.
 
 All operations are pure functions; arrays are treated as immutable.
 """
@@ -26,7 +26,7 @@ NULL_SPACE_RTOL = 1e-10
 
 
 class DimensionMismatchError(ValueError):
-    """Operator shape is incompatible with the declared tensor factors."""
+    """Operator shape is incompatible with the declared dimensions."""
 
 
 class NonHermitianError(ValueError):
@@ -75,49 +75,18 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BipartiteSpace:
-    """Tensor-product space C^dim_x (x) C^dim_y with optional nested factors.
-
-    Tensor-factor ordering is fixed with all X factors first, then all Y
-    factors; ``factors_x`` / ``factors_y`` record a finer factorization of a
-    side (e.g. X = X1 (x) X2 with factors (2, 2)).
-    """
+    """Tensor-product space C^dim_x (x) C^dim_y, X factor first."""
 
     dim_x: int
     dim_y: int
-    factors_x: tuple[int, ...] = ()
-    factors_y: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.dim_x < 1 or self.dim_y < 1:
             raise ValueError("dimensions must be positive")
-        fx = tuple(self.factors_x) or (self.dim_x,)
-        fy = tuple(self.factors_y) or (self.dim_y,)
-        if math.prod(fx) != self.dim_x or math.prod(fy) != self.dim_y:
-            raise DimensionMismatchError("nested factor dims must multiply to the side dim")
-        object.__setattr__(self, "factors_x", fx)
-        object.__setattr__(self, "factors_y", fy)
 
     @property
     def total_dim(self) -> int:
         return self.dim_x * self.dim_y
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        """All tensor factors, X side first."""
-        return self.factors_x + self.factors_y
-
-    def axes(self, factor: str | tuple[str, int]) -> tuple[int, ...]:
-        """Axis positions of a named factor: "x", "y", ("x", i) or ("y", i)."""
-        nx = len(self.factors_x)
-        if factor == "x":
-            return tuple(range(nx))
-        if factor == "y":
-            return tuple(range(nx, nx + len(self.factors_y)))
-        side, i = factor
-        fac = self.factors_x if side == "x" else self.factors_y
-        if not 0 <= i < len(fac):
-            raise DimensionMismatchError(f"no nested factor {factor!r}")
-        return (i,) if side == "x" else (nx + i,)
 
     def check_operator(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=complex)
@@ -128,52 +97,30 @@ class BipartiteSpace:
         return a
 
 
-def transpose_factors(a: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-    """Transpose the named tensor factors of a square operator.
+def _split(a: np.ndarray, dim_x: int, dim_y: int) -> np.ndarray:
+    """An operator on C^dim_x (x) C^dim_y as a (dim_x, dim_y, dim_x, dim_y) array."""
+    a = np.asarray(a)
+    d = dim_x * dim_y
+    if a.shape != (d, d):
+        raise DimensionMismatchError(
+            f"operator shape {a.shape} does not match dims {dim_x} x {dim_y}"
+        )
+    return a.reshape(dim_x, dim_y, dim_x, dim_y)
 
-    ``dims`` lists all factor dimensions; ``axes`` the factor positions to
-    transpose (in the standard basis). A pure entry permutation, so trace and
-    Frobenius norm are preserved exactly.
+
+def partial_transpose(a: np.ndarray, dim_x: int, dim_y: int) -> np.ndarray:
+    """T_X of an operator on C^dim_x (x) C^dim_y (in the standard basis).
+
+    A pure entry permutation, so trace and Frobenius norm are preserved
+    exactly.
     """
-    a = np.asarray(a)
-    d = math.prod(dims)
-    if a.shape != (d, d):
-        raise DimensionMismatchError(f"operator shape {a.shape} does not match dims {dims}")
-    n = len(dims)
-    t = a.reshape(dims + dims)
-    order = list(range(2 * n))
-    for ax in axes:
-        order[ax], order[n + ax] = order[n + ax], order[ax]
-    return t.transpose(order).reshape(d, d)
+    d = dim_x * dim_y
+    return _split(a, dim_x, dim_y).transpose(2, 1, 0, 3).reshape(d, d)
 
 
-def trace_factors(a: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-    """Partial trace over the named tensor factors of a square operator."""
-    a = np.asarray(a)
-    d = math.prod(dims)
-    if a.shape != (d, d):
-        raise DimensionMismatchError(f"operator shape {a.shape} does not match dims {dims}")
-    n = len(dims)
-    t = a.reshape(dims + dims)
-    for ax in sorted(axes, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=n + ax)
-        n -= 1
-    kept = math.prod([dims[i] for i in range(len(dims)) if i not in axes])
-    return t.reshape(kept, kept)
-
-
-def partial_transpose(
-    h: np.ndarray, space: BipartiteSpace, factor: str | tuple[str, int] = "x"
-) -> np.ndarray:
-    """Partial transpose of an operator on ``space`` over a named factor."""
-    return transpose_factors(space.check_operator(h), space.dims, space.axes(factor))
-
-
-def partial_trace(
-    h: np.ndarray, space: BipartiteSpace, factor: str | tuple[str, int]
-) -> np.ndarray:
-    """Partial trace of an operator on ``space`` over a named factor."""
-    return trace_factors(space.check_operator(h), space.dims, space.axes(factor))
+def partial_trace(a: np.ndarray, dim_x: int, dim_y: int) -> np.ndarray:
+    """Tr_X of an operator on C^dim_x (x) C^dim_y."""
+    return np.trace(_split(a, dim_x, dim_y), axis1=0, axis2=2)
 
 
 def permute_factors_matrix(dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:

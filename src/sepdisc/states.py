@@ -1,9 +1,10 @@
 """Constructors for the state families used throughout the package.
 
 Bell states, the partially entangled two-qubit resource, the domino / tiles /
-Feng product families and the Yu-Duan-Ying states, plus the machinery to
-tensor a 2 (x) 2 ensemble with the resource and reorder factors so that both
-of Alice's qubits come first.
+Feng product families and the Yu-Duan-Ying states, the ensemble and
+orthonormal-product-set containers, plus the resource extension: tensor a
+2 (x) 2 ensemble with the resource and reorder factors so that both of
+Alice's qubits form the X side of C^4 (x) C^4.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ PSD_TOL = 1e-10
 PROB_TOL = 1e-12
 UNIT_TOL = 1e-12
 PHASE_TOL = 1e-12
+ORTHOGONALITY_TOL = 1e-10
 
 CATALOG_NAMES = ("bell3", "bell4", "ydy", "domino", "tiles", "feng", "tiles_psi")
 
@@ -116,6 +118,34 @@ class ProductVector:
     def overlap(self, other: "ProductVector") -> float:
         """|<x, x'>| |<y, y'>|, phase-insensitive."""
         return float(abs(np.vdot(self.x, other.x)) * abs(np.vdot(self.y, other.y)))
+
+
+@dataclass(frozen=True)
+class UPSet:
+    """Orthonormal product set with local factors stored separately."""
+
+    space: BipartiteSpace
+    members: tuple[ProductVector, ...]
+
+    def __post_init__(self) -> None:
+        members = tuple(self.members)
+        if not members:
+            raise ValueError("a product set needs at least one member")
+        for m in members:
+            if m.x.size != self.space.dim_x or m.y.size != self.space.dim_y:
+                raise ValueError("member factors do not match the space dims")
+        full = [m.vector for m in members]
+        gram = np.array([[np.vdot(a, b) for b in full] for a in full])
+        if np.abs(gram - np.eye(len(full))).max() > ORTHOGONALITY_TOL:
+            raise ValueError("members must be pairwise orthonormal")
+        object.__setattr__(self, "members", members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def projector_sum(self) -> np.ndarray:
+        """Sum of the rank-one member projections."""
+        return sum(m.projection for m in self.members)
 
 
 @dataclass(frozen=True)
@@ -228,9 +258,7 @@ def feng_factors() -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _product_set(space: BipartiteSpace, factors):
-    from .ups import UPSet  # deferred: keeps the module import graph acyclic
-
+def _product_set(space: BipartiteSpace, factors) -> UPSet:
     return UPSet(space, tuple(ProductVector(fix_phase(u), fix_phase(v)) for u, v in factors))
 
 
@@ -270,34 +298,18 @@ def resource_reorder_unitary() -> np.ndarray:
     return permute_factors_matrix((2, 2, 2, 2), (0, 2, 1, 3))
 
 
-def extend_with_resource(states, epsilon: float) -> Ensemble:
-    """Tensor each 2 (x) 2 state with the resource tau(eps) and reorder so the
-    bipartition is (X1 X2) : (Y1 Y2).
-
-    ``states`` may be given as kets (length-4 vectors) or density operators
-    (4x4); probabilities are uniform. The returned 16x16 densities live on a
-    space with nested factors (2, 2) on each side.
-    """
-    res = projector(tau(epsilon))
+def resource_frame_to_xy(op: np.ndarray) -> np.ndarray:
+    """Conjugate an operator on X1 Y1 X2 Y2 into the (X1 X2) : (Y1 Y2) frame."""
     w = resource_reorder_unitary()
-    out = []
-    for s in states:
-        s = np.asarray(s, dtype=complex)
-        if s.ndim == 1:
-            if s.size != 4:
-                raise DimensionMismatchError("input kets must live on 2 (x) 2")
-            s = projector(s)
-        elif s.shape != (4, 4):
-            raise DimensionMismatchError("input states must live on 2 (x) 2")
-        out.append(w.T @ kron(s, res) @ w)
-    space = BipartiteSpace(4, 4, factors_x=(2, 2), factors_y=(2, 2))
-    n = len(out)
-    return Ensemble(space, tuple(out), np.full(n, 1.0 / n))
+    return w.T @ op @ w
 
 
 def extend_ensemble(e: Ensemble, epsilon: float) -> Ensemble:
-    """Resource extension of an existing 2 (x) 2 ensemble, keeping its prior."""
+    """Tensor each state of a 2 (x) 2 ensemble with the resource tau(eps) and
+    reorder so the bipartition is (X1 X2) : (Y1 Y2) on C^4 (x) C^4, keeping
+    the prior."""
     if (e.space.dim_x, e.space.dim_y) != (2, 2):
         raise DimensionMismatchError("resource extension assumes a 2 (x) 2 ensemble")
-    ext = extend_with_resource(list(e.states), epsilon)
-    return Ensemble(ext.space, ext.states, e.probs)
+    res = projector(tau(epsilon))
+    states = tuple(resource_frame_to_xy(kron(s, res)) for s in e.states)
+    return Ensemble(BipartiteSpace(4, 4), states, e.probs)

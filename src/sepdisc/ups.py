@@ -14,10 +14,9 @@ import numpy as np
 from . import conesolve
 from .conesolve import DualCertificate, LPFeasibilityResult
 from .discrimination import Measurement
-from .linalg import BipartiteSpace, orthogonal_complement, partial_trace
-from .states import ProductVector, fix_phase, projector
+from .linalg import orthogonal_complement, partial_trace
+from .states import ORTHOGONALITY_TOL, ProductVector, UPSet, fix_phase, projector
 
-ORTHOGONALITY_TOL = 1e-10
 DEDUP_OVERLAP = 1 - 1e-9
 SUBSET_CAP = 20  # subset enumeration costs 2^(N-1) per index
 
@@ -29,34 +28,6 @@ class ProductSetError(ValueError):
     """The product set is outside what subset enumeration accepts: it has
     more than ``SUBSET_CAP`` members, or it is not unextendable where the
     algorithm needs that."""
-
-
-@dataclass(frozen=True)
-class UPSet:
-    """Orthonormal product set with local factors stored separately."""
-
-    space: BipartiteSpace
-    members: tuple[ProductVector, ...]
-
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("a product set needs at least one member")
-        for m in members:
-            if m.x.size != self.space.dim_x or m.y.size != self.space.dim_y:
-                raise ValueError("member factors do not match the space dims")
-        full = [m.vector for m in members]
-        gram = np.array([[np.vdot(a, b) for b in full] for a in full])
-        if np.abs(gram - np.eye(len(full))).max() > ORTHOGONALITY_TOL:
-            raise ValueError("members must be pairwise orthonormal")
-        object.__setattr__(self, "members", members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def projector_sum(self) -> np.ndarray:
-        """Sum of the rank-one member projections."""
-        return sum(m.projection for m in self.members)
 
 
 @dataclass(frozen=True)
@@ -259,7 +230,7 @@ def ups_plus_state_bound(s: UPSet, z: np.ndarray, lam: float) -> UPSBoundReport:
 
     n = len(s)
     zz = projector(z)
-    delta = float(np.linalg.eigvalsh(partial_trace(zz, s.space, "x"))[-1])
+    delta = float(np.linalg.eigvalsh(partial_trace(zz, s.space.dim_x, s.space.dim_y))[-1])
     if not math.isfinite(lam / delta):
         raise ValueError(f"lam {lam!r} is too large: lam / delta overflows (delta = {delta!r})")
     bound = 1.0 - lam / ((n + 1) * delta)

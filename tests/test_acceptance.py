@@ -121,7 +121,7 @@ def test_criterion_3_three_bell_resource_points(three_bell_points):
 
 
 def test_criterion_4_three_bell_certificates():
-    space = BipartiteSpace(4, 4, (2, 2), (2, 2))
+    space = BipartiteSpace(4, 4)
     ok = True
     details = []
     for eps in (0.2, 0.6, 0.9):

@@ -18,8 +18,8 @@ from sepdisc.certificates import (
     ydy_certificate,
 )
 from sepdisc.discrimination import four_bell_value, three_bell_value
-from sepdisc.linalg import BipartiteSpace, PAULI, kron, transpose_factors, vec
-from sepdisc.states import bell, extend_with_resource, projector, tau, ydy_kets, ydy_unitaries
+from sepdisc.linalg import BipartiteSpace, PAULI, kron, partial_transpose, vec
+from sepdisc.states import bell, catalog, extend_ensemble, projector, tau, ydy_kets, ydy_unitaries
 
 SP22 = BipartiteSpace(2, 2)
 
@@ -119,7 +119,7 @@ def test_three_bell_certificate_trace(eps):
     assert cert.cone_tag == "sep-dual"
     assert len(slacks) == 3
     # slack operators match the certificate against the extended ensemble
-    ens = extend_with_resource([bell(k) for k in (1, 2, 3)], eps)
+    ens = extend_ensemble(catalog("bell3"), eps)
     for q, rho in zip(slacks, ens.states):
         assert np.abs(q - (cert.matrix - rho / 3.0)).max() <= 1e-14
 
@@ -139,7 +139,7 @@ def test_three_bell_conjugation_and_map_link(eps):
 
 def test_three_bell_slacks_unrefuted():
     _, slacks = three_bell_resource_certificate(0.6)
-    space = BipartiteSpace(4, 4, (2, 2), (2, 2))
+    space = BipartiteSpace(4, 4)
     for q in slacks:
         r = block_positivity_search(q, space, restarts=200, seed=5)
         assert r.min_overlap >= -1e-9
@@ -167,7 +167,7 @@ def test_four_bell_certificate_psd(eps):
 def test_transposed_resource_plus_singlet_psd(eps):
     # the 4x4 combination behind the four-Bell feasibility argument
     root = np.sqrt(1 - eps * eps)
-    comb = transpose_factors(projector(tau(eps)), (2, 2), (0,)) + root / 2 * projector(bell(4))
+    comb = partial_transpose(projector(tau(eps)), 2, 2) + root / 2 * projector(bell(4))
     assert np.linalg.eigvalsh(comb).min() >= -1e-12
 
 

@@ -19,7 +19,7 @@ from sepdisc.cli import (
     main,
     save_ensemble,
 )
-from sepdisc.states import catalog
+from sepdisc.states import catalog, extend_ensemble
 
 
 def run(tmp_path, *argv):
@@ -208,7 +208,14 @@ def _bare_number_ensemble(path):
 def _float_factor_ensemble(path):
     save_ensemble(str(path), catalog("bell3"))
     data = json.loads(path.read_text())
-    data["space"]["factors_x"] = [2.0]  # the PPT program reshapes by the factors
+    data["space"]["factors_x"] = [2.0]  # older files' factor keys are still checked
+    path.write_text(json.dumps(data))
+
+
+def _factor_product_ensemble(path):
+    save_ensemble(str(path), catalog("bell3"))
+    data = json.loads(path.read_text())
+    data["space"]["factors_x"] = [2, 2]  # multiplies to 4, not dim_x = 2
     path.write_text(json.dumps(data))
 
 
@@ -243,6 +250,9 @@ def _probs_ensemble(probs):
          _float_factor_ensemble,
          "bad space header: 'float' object cannot be interpreted as an integer"),
         (["discriminate", "{path}", "--class", "global"],
+         _factor_product_ensemble,
+         "bad space header: nested factor dims must multiply to the side dim"),
+        (["discriminate", "{path}", "--class", "global"],
          {"kind": "ensemble", "space": {"dim_x": 2.9, "dim_y": 2}, "states": [], "probs": []},
          "bad space header: 'float' object cannot be interpreted as an integer"),
         (["discriminate", "{path}", "--class", "global"],
@@ -254,7 +264,7 @@ def _probs_ensemble(probs):
     ],
     ids=["ups-bound-z", "ups-check", "discriminate-list", "discriminate-bare-rows",
          "discriminate-no-space", "ups-members-number", "discriminate-float-factor",
-         "discriminate-float-dim", "discriminate-string-probs", "discriminate-bool-probs",
+         "discriminate-factor-product", "discriminate-float-dim", "discriminate-string-probs", "discriminate-bool-probs",
          "discriminate-number-probs"],
 )
 def test_malformed_json_input_rejected(tmp_path, capsys, argv, content, message):
@@ -267,6 +277,21 @@ def test_malformed_json_input_rejected(tmp_path, capsys, argv, content, message)
     code, report = run(tmp_path, *(a.format(path=path) for a in argv))
     assert code == EXIT_INPUT and report is None
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_legacy_factor_keys_still_load(tmp_path):
+    # earlier versions wrote each side's nested factors into the space header
+    path = tmp_path / "ext.json"
+    ens = extend_ensemble(catalog("bell3"), 0.6)
+    save_ensemble(str(path), ens)
+    data = json.loads(path.read_text())
+    assert data["space"] == {"dim_x": 4, "dim_y": 4}
+    data["space"].update(factors_x=[2, 2], factors_y=[2, 2])
+    path.write_text(json.dumps(data))
+    loaded = load_ensemble(str(path))
+    assert (loaded.space.dim_x, loaded.space.dim_y) == (4, 4)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.states, ens.states))
+    assert np.array_equal(loaded.probs, ens.probs)
 
 
 @pytest.fixture(params=["discriminate", "ups", "ups-bound-z"])

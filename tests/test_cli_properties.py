@@ -7,11 +7,12 @@ import json
 import math
 import pathlib
 import tempfile
+import warnings
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sepdisc.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUTED, EXIT_SOLVER, main
 from sepdisc.states import tiles_orthogonal_state
@@ -57,10 +58,13 @@ unit_floats = st.floats(0.0, 1.0).map(repr)
 
 
 def assert_clean_exit(argv):
-    """Runs the CLI in process: it must end in a documented exit code, and an
+    """Runs the CLI in process: it must end in a documented exit code, without
+    a RuntimeWarning (numpy's overflow and invalid-value warnings), and an
     input error (argparse's own included) must print exactly one error line."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects a value
@@ -87,6 +91,7 @@ priors = st.one_of(
 # solve, two see-saw restarts); each test takes under a second on a 2-vCPU host.
 @settings(max_examples=40, deadline=None, database=None)
 @given(priors)
+@example("0.0,1.0,2.225073858507203e-309")  # a subnormal step-length eigenvalue
 def test_prior_values_end_in_an_exit_code(prior):
     assert_clean_exit(["discriminate", "bell3", "--class", "global", f"--prior={prior}"])
 

@@ -109,7 +109,7 @@ def test_ppt_tiles_psi_stalls_out_early():
 def test_ppt_measurement_is_ppt(bell4_ppt):
     e = catalog("bell4")
     for op in bell4_ppt.measurement.operators:
-        pt = partial_transpose(op, e.space, "x")
+        pt = partial_transpose(op, 2, 2)
         assert np.linalg.eigvalsh((pt + pt.conj().T) / 2).min() >= -1e-8
 
 
@@ -121,7 +121,7 @@ def test_ppt_certificate_decomposition(bell4_ppt):
     for k, (s_psd, s_pt) in enumerate(bell4_ppt.certificate_parts):
         assert np.linalg.eigvalsh(s_psd).min() >= -1e-9
         assert np.linalg.eigvalsh(s_pt).min() >= -1e-9
-        recon = s_psd + partial_transpose(s_pt, e.space, "x")
+        recon = s_psd + partial_transpose(s_pt, 2, 2)
         target = h - e.probs[k] * e.states[k]
         assert np.abs(recon - target).max() <= 1e-7
 
@@ -149,10 +149,8 @@ def test_closed_forms():
 
 def test_sep_bound_three_bell_certificate():
     from sepdisc.certificates import three_bell_resource_certificate
-    from sepdisc.states import extend_with_resource
-
     cert, _ = three_bell_resource_certificate(0.6)
-    ens = extend_with_resource([bell(k) for k in (1, 2, 3)], 0.6)
+    ens = extend_ensemble(catalog("bell3"), 0.6)
     report = sep_bound_from_certificate(ens, cert, restarts=200, seed=3)
     assert abs(report.bound - 14 / 15) <= 1e-12
     assert report.unrefuted

@@ -15,7 +15,6 @@ from sepdisc.linalg import (
     partial_transpose,
     permute_factors_matrix,
     require_hermitian,
-    transpose_factors,
     vec,
 )
 from sepdisc.states import bell, projector, tau, tiles_orthogonal_state
@@ -71,46 +70,40 @@ def test_kron_mixed_product_property(rng):
 def test_partial_transpose_product_operator(rng):
     q = random_complex(rng, 3, 3)
     r = random_complex(rng, 3, 3)
-    space = BipartiteSpace(3, 3)
-    got = transpose_factors(kron(q, r), (3, 3), (0,))
-    assert np.allclose(got, kron(q.T, r), atol=1e-14)
-    # same through the space-aware wrapper on a Hermitian input
-    h = kron(q + q.conj().T, r + r.conj().T)
-    assert np.allclose(partial_transpose(h, space, "x"), kron((q + q.conj().T).T, r + r.conj().T))
+    assert np.allclose(partial_transpose(kron(q, r), 3, 3), kron(q.T, r), atol=1e-14)
 
 
 def test_partial_transpose_bell_spectrum():
-    pt = partial_transpose(projector(bell(1)), BipartiteSpace(2, 2), "x")
+    pt = partial_transpose(projector(bell(1)), 2, 2)
     w = np.linalg.eigvalsh(pt)
     assert np.allclose(w, [-0.5, 0.5, 0.5, 0.5], atol=1e-14)
 
 
 def test_partial_transpose_involution(rng):
     h = random_hermitian(rng, 6)
-    space = BipartiteSpace(2, 3)
-    assert np.array_equal(partial_transpose(partial_transpose(h, space, "x"), space, "x"), h)
+    assert np.array_equal(partial_transpose(partial_transpose(h, 2, 3), 2, 3), h)
 
 
 def test_partial_transpose_preserves_trace_and_norm(rng):
     h = random_hermitian(rng, 8)
-    space = BipartiteSpace(2, 4)
-    pt = partial_transpose(h, space, "y")
+    pt = partial_transpose(h, 2, 4)
     assert np.trace(pt) == np.trace(h)
     assert abs(np.linalg.norm(pt) - np.linalg.norm(h)) <= 1e-15 * np.linalg.norm(h)
 
 
-def test_partial_transpose_nested_factor():
-    # transposing one nested factor then the other equals transposing the side
-    space = BipartiteSpace(4, 4, (2, 2), (2, 2))
-    rng = np.random.default_rng(3)
-    h = random_hermitian(rng, 16)
-    once = partial_transpose(partial_transpose(h, space, ("x", 0)), space, ("x", 1))
-    assert np.allclose(once, partial_transpose(h, space, "x"), atol=1e-14)
+def test_partial_transpose_equals_two_qubit_reshape(rng):
+    # T_X of C^4 (x) C^4 with X = X1 X2 permutes entries exactly as
+    # transposing both qubit factors of X does
+    a = random_complex(rng, 16, 16)
+    two_qubit = a.reshape((2,) * 8).transpose(4, 5, 2, 3, 0, 1, 6, 7).reshape(16, 16)
+    assert np.array_equal(partial_transpose(a, 4, 4), two_qubit)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        partial_transpose(np.eye(5), BipartiteSpace(2, 2), "x")
+        partial_transpose(np.eye(5), 2, 2)
+    with pytest.raises(DimensionMismatchError):
+        partial_trace(np.eye(6), 2, 2)
 
 
 # -- vec --------------------------------------------------------------------
@@ -144,11 +137,9 @@ def test_vec_linearity_and_inner_product(rng):
 
 @pytest.mark.parametrize("eps", [0.0, 0.3, 0.9])
 def test_resource_marginal_spectrum(eps):
-    rho = projector(tau(eps))
-    for side in ("x", "y"):
-        red = partial_trace(rho, BipartiteSpace(2, 2), side)
-        w = np.linalg.eigvalsh(red)
-        assert np.allclose(w, [(1 - eps) / 2, (1 + eps) / 2], atol=1e-14)
+    red = partial_trace(projector(tau(eps)), 2, 2)
+    w = np.linalg.eigvalsh(red)
+    assert np.allclose(w, [(1 - eps) / 2, (1 + eps) / 2], atol=1e-14)
 
 
 def test_require_hermitian_rejects_non_hermitian():
@@ -157,7 +148,7 @@ def test_require_hermitian_rejects_non_hermitian():
 
 
 def test_partial_trace_bell_marginal():
-    red = partial_trace(projector(bell(1)), BipartiteSpace(2, 2), "x")
+    red = partial_trace(projector(bell(1)), 2, 2)
     assert np.allclose(red, np.eye(2) / 2, atol=1e-14)
 
 
@@ -165,7 +156,7 @@ def test_partial_trace_tiles_state_marginal():
     # frozen: the largest eigenvalue of the Y marginal is cos^2(pi/8),
     # computed independently from the 2x2 Gram of the coefficient matrix
     rho = projector(tiles_orthogonal_state())
-    red = partial_trace(rho, BipartiteSpace(3, 3), "x")
+    red = partial_trace(rho, 3, 3)
     expected = (2 + np.sqrt(2)) / 4  # = cos^2(pi/8)
     assert abs(np.linalg.eigvalsh(red)[-1] - expected) <= 1e-12
     assert abs(np.cos(np.pi / 8) ** 2 - expected) <= 1e-15
@@ -174,9 +165,18 @@ def test_partial_trace_tiles_state_marginal():
 def test_partial_trace_product(rng):
     q = random_hermitian(rng, 2)
     r = random_hermitian(rng, 3)
-    got = partial_trace(kron(q, r), BipartiteSpace(2, 3), "x")
+    got = partial_trace(kron(q, r), 2, 3)
     assert np.allclose(got, np.trace(q) * r, atol=1e-13)
     assert abs(np.trace(got) - np.trace(kron(q, r))) <= 1e-13
+
+
+def test_partial_trace_equals_sum_of_compressions(rng):
+    # Tr_X(A) = sum_i (<i| (x) 1) A (|i> (x) 1)
+    a = random_complex(rng, 12, 12)
+    want = sum(
+        kron(np.eye(3)[i], np.eye(4)) @ a @ kron(np.eye(3)[i], np.eye(4)).T for i in range(3)
+    )
+    assert np.abs(partial_trace(a, 3, 4) - want).max() <= 1e-12
 
 
 # -- hermitian basis -----------------------------------------------------------
@@ -222,16 +222,13 @@ def test_hermitian_basis_orthonormal():
 # -- space bookkeeping ----------------------------------------------------------
 
 
-def test_space_axes_and_validation():
-    space = BipartiteSpace(4, 4, (2, 2), (2, 2))
-    assert space.dims == (2, 2, 2, 2)
-    assert space.axes("x") == (0, 1)
-    assert space.axes("y") == (2, 3)
-    assert space.axes(("y", 1)) == (3,)
+def test_space_validation():
+    space = BipartiteSpace(4, 2)
+    assert space.total_dim == 8
+    with pytest.raises(ValueError):
+        BipartiteSpace(0, 2)
     with pytest.raises(DimensionMismatchError):
-        BipartiteSpace(4, 4, (2, 3), ())
-    with pytest.raises(DimensionMismatchError):
-        space.axes(("x", 2))
+        space.check_operator(np.eye(4))
 
 
 def test_permute_factors_matrix_is_permutation():

@@ -5,21 +5,21 @@ from sepdisc.linalg import BipartiteSpace, kron
 from sepdisc.states import (
     Ensemble,
     ProductVector,
+    UPSet,
     bell,
     catalog,
     domino_kets,
     extend_ensemble,
-    extend_with_resource,
     feng_factors,
     fix_phase,
     projector,
+    resource_frame_to_xy,
     resource_reorder_unitary,
     tau,
     tiles_factors,
     tiles_orthogonal_state,
     ydy_kets,
 )
-from sepdisc.ups import UPSet
 
 S = 1 / np.sqrt(2)
 
@@ -155,11 +155,15 @@ def test_reorder_unitary_is_involution():
 
 @pytest.mark.parametrize("eps", [0.0, 0.4, 1.0])
 def test_extension_states_are_pure(eps):
-    e = extend_with_resource([bell(k) for k in (1, 2, 3)], eps)
-    assert e.space.dims == (2, 2, 2, 2)
+    e = extend_ensemble(catalog("bell3"), eps)
+    assert (e.space.dim_x, e.space.dim_y) == (4, 4)
     for rho in e.states:
         assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-12
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
+
+
+def _extend_one(rho, eps):
+    return extend_ensemble(Ensemble(BipartiteSpace(2, 2), (rho,), np.array([1.0])), eps).states[0]
 
 
 def test_extension_commutes_with_mixing(rng):
@@ -168,9 +172,9 @@ def test_extension_commutes_with_mixing(rng):
     b = projector(bell(3))
     lam = 0.3
     mixed = lam * a + (1 - lam) * b
-    ext_mixed = extend_with_resource([mixed], 0.6).states[0]
-    ext_a = extend_with_resource([a], 0.6).states[0]
-    ext_b = extend_with_resource([b], 0.6).states[0]
+    ext_mixed = _extend_one(mixed, 0.6)
+    ext_a = _extend_one(a, 0.6)
+    ext_b = _extend_one(b, 0.6)
     assert np.abs(ext_mixed - (lam * ext_a + (1 - lam) * ext_b)).max() <= 1e-14
 
 
@@ -179,8 +183,9 @@ def test_extension_separable_frame():
     eps = 0.5
     w = resource_reorder_unitary()
     raw = kron(projector(bell(1)), projector(tau(eps)))
-    e = extend_with_resource([bell(1)], eps)
+    e = extend_ensemble(catalog("bell3"), eps)
     assert np.abs(e.states[0] - w.T @ raw @ w).max() <= 1e-15
+    assert np.array_equal(e.states[0], resource_frame_to_xy(raw))
 
 
 def test_extend_ensemble_keeps_prior():

@@ -5,10 +5,9 @@ from feng_fixture import EXPECTED_REPLACEMENTS
 from sepdisc.certificates import block_positivity_search
 from sepdisc.conesolve import verify_farkas
 from sepdisc.linalg import BipartiteSpace, orthogonal_complement
-from sepdisc.states import ProductVector, catalog, fix_phase, projector, tiles_orthogonal_state
+from sepdisc.states import ProductVector, UPSet, catalog, fix_phase, projector, tiles_orthogonal_state
 from sepdisc.ups import (
     DEDUP_OVERLAP,
-    UPSet,
     is_unextendable,
     replacement_projections,
     separable_perfect_discrimination,
