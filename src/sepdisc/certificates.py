@@ -42,6 +42,8 @@ REFUTATION_TOL = 1e-9
 MAX_ALTERNATIONS = 500
 ALTERNATION_FTOL = 1e-12
 UNITARY_TOL = 1e-10
+# A slack whose least eigenvalue is below -PSD_MARGIN_TOL refutes its certificate.
+PSD_MARGIN_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from . import __version__
 from .certificates import (
     DEFAULT_RESTARTS,
     DEFAULT_SEED,
+    PSD_MARGIN_TOL,
     block_positivity_search,
     breuer_hall_witness,
     four_bell_certificate_psd_margins,
@@ -113,12 +114,19 @@ def decode_matrix(data) -> np.ndarray:
     return np.array([decode_vector(row) for row in data], dtype=complex)
 
 
+def _dim(x) -> int:
+    """A dimension read from JSON: an integer, and JSON true is not one."""
+    if isinstance(x, bool):
+        raise TypeError(f"dims must be integers, not {x!r}")
+    return operator.index(x)
+
+
 def _decode_space(data) -> BipartiteSpace:
     try:
-        space = BipartiteSpace(operator.index(data["dim_x"]), operator.index(data["dim_y"]))
+        space = BipartiteSpace(_dim(data["dim_x"]), _dim(data["dim_y"]))
         # Older files carry nested factors of each side; check them, then drop them.
         for key, dim in (("factors_x", space.dim_x), ("factors_y", space.dim_y)):
-            factors = [operator.index(f) for f in data.get(key) or ()]
+            factors = [_dim(f) for f in data.get(key) or ()]
             if factors and math.prod(factors) != dim:
                 raise ValueError("nested factor dims must multiply to the side dim")
         return space
@@ -315,7 +323,7 @@ def cmd_certify(args) -> tuple[dict, int]:
 
     outputs = {"claimed_trace": cert.claimed_value, **checks}
     if ens is None:
-        refuted = min(checks["transposed_slack_min_eigenvalues"]) < -1e-10
+        refuted = min(checks["transposed_slack_min_eigenvalues"]) < -PSD_MARGIN_TOL
     else:
         try:
             score = sep_bound_from_certificate(ens, cert, args.restarts, args.seed)
@@ -427,7 +435,7 @@ def cmd_ups(args) -> tuple[dict, int]:
             "member_slack_min_eigenvalue": report.psd_margin,
             "extra_state_search": _search_payload(search),
         }
-        refuted = search.refuted or report.psd_margin < -1e-10
+        refuted = search.refuted or report.psd_margin < -PSD_MARGIN_TOL
         outputs["outcome"] = "refuted" if refuted else "unrefuted"
         return outputs, EXIT_REFUTED if refuted else EXIT_OK
 

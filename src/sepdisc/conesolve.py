@@ -13,7 +13,7 @@ the whole problem a real optimization problem without a doubled real
 embedding. The rows must be linearly independent, as they are by
 construction in every PPT and global discrimination program; the solver
 does not reduce them. The LP front end is the one caller with dependent
-rows, and it drops them itself with one rank-revealing QR.
+rows, and it drops them itself with one greedy Gram-Schmidt pass.
 
 Every iteration takes a Mehrotra predictor-corrector step on the HKM
 direction of primal-dual path following (Mehrotra, SIAM J. Optim. 2, 1992).
@@ -83,15 +83,18 @@ WEAK_DUALITY_SLACK = 10.0
 MAX_ITERATIONS = 200
 BOUNDARY_FRACTION = 0.98
 STALL_WINDOW = 3
+# Both step lengths below STEP_COLLAPSE_TOL end the iteration (step-collapse).
+STEP_COLLAPSE_TOL = 1e-10
+# Relative ridge added to a Schur matrix that is singular after iterate 0.
+SCHUR_RIDGE = 1e-14
 # A direction whose defect |C dX - r_p| exceeds REFINE_TOL * (1 + |b|) gets one
 # step of iterative refinement: a tenth of the feasibility tolerance.
 REFINE_TOL = 0.1 * DEFAULT_FEAS_TOL
 
 STATUS_OPTIMAL = "optimal"
-STATUS_MAX_ITERATIONS = "max-iterations"
 
-# Why the iteration ended (SDPSolution.stop_reason); the status is separate:
-# a stalled solve, for one, is still optimal under ACCEPT_*.
+# Why the iteration ended (SDPSolution.stop_reason). The status is optimal when
+# the last iterate meets ACCEPT_*, as a stalled one does, else the stop reason.
 STOP_CONVERGED = "converged"
 STOP_STALLED = "stalled"
 STOP_MAX_ITERATIONS = "max-iterations"
@@ -417,7 +420,7 @@ def _verified_starts(problem, c_rows, b, runs, a_coords) -> tuple:
     if not _positive_definite(x_stacks):
         raise ValueError("primal start is not positive definite")
     resid = np.linalg.norm(c_rows @ _coords(x_stacks) - b)
-    if resid > 1e-10 * (1.0 + np.linalg.norm(b)):
+    if resid > DEFAULT_FEAS_TOL * (1.0 + np.linalg.norm(b)):
         raise ValueError(f"primal start violates the rows by {resid:.2e}")
     if np.shape(y0) != (m,):
         raise ValueError(f"dual start has shape {np.shape(y0)}, not ({m},)")
@@ -492,7 +495,6 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     a_scale = 1.0 + float(np.linalg.norm(a_coords))
     total_dim = sum(dims)
     records: list[IterateRecord] = []
-    status = STATUS_MAX_ITERATIONS
     stop_reason = STOP_MAX_ITERATIONS
     # The step that produced the current iterate; none before the first.
     sig, alpha_p, alpha_d = 0.0, 0.0, 0.0
@@ -518,7 +520,7 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             and rp_norm <= DEFAULT_FEAS_TOL * b_scale
             and rd_norm <= DEFAULT_FEAS_TOL * a_scale
         ):
-            status, stop_reason = STATUS_OPTIMAL, STOP_CONVERGED
+            stop_reason = STOP_CONVERGED
             break
         if it == MAX_ITERATIONS:
             break
@@ -547,8 +549,8 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
                     if it == 0:
                         raise IllPosedProblemError("dependent constraint rows") from None
                     # Later on, an exactly singular M is roundoff near the
-                    # optimum; a ridge of relative size 1e-14 gets past it.
-                    ridge = 1e-14 * (1.0 + np.trace(m_mat) / b.size)
+                    # optimum; a ridge of relative size SCHUR_RIDGE gets past it.
+                    ridge = SCHUR_RIDGE * (1.0 + np.trace(m_mat) / b.size)
                     return np.linalg.solve(m_mat + ridge * np.eye(b.size), rhs_vec)
 
             def steps(dy, sig_mu: float, corr):
@@ -606,18 +608,17 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
 
         alpha_p = _max_step(x_stacks, dx_stacks)
         alpha_d = _max_step(z_stacks, dz_stacks)
-        if max(alpha_p, alpha_d) < 1e-10:
+        if max(alpha_p, alpha_d) < STEP_COLLAPSE_TOL:
             stop_reason = STOP_STEP_COLLAPSE
             break
         x_stacks = [_sym(x + alpha_p * dx) for x, dx in zip(x_stacks, dx_stacks)]
         y = y + alpha_d * dy
         z_stacks = [_sym(z + alpha_d * dz) for z, dz in zip(z_stacks, dz_stacks)]
 
+    # A converged or stalled iterate meets ACCEPT_*; so may one where the
+    # iteration stopped for another reason, and that is accepted too.
     last = records[-1]
-    if status == STATUS_MAX_ITERATIONS and _acceptable(last, b_scale, a_scale):
-        # Accept a numerically stalled point that still meets the published
-        # solution tolerances.
-        status = STATUS_OPTIMAL
+    status = STATUS_OPTIMAL if _acceptable(last, b_scale, a_scale) else stop_reason
 
     return SDPSolution(
         x_blocks=[xb for x in x_stacks for xb in _sym(x)],
@@ -653,33 +654,22 @@ class LPFeasibilityResult:
 
 def independent_rows(rows: np.ndarray) -> np.ndarray:
     """Indices of a maximal linearly independent subset of rows, chosen
-    greedily in order (Gram-Schmidt semantics: a row is dropped when its
-    residual against the earlier kept rows falls below ``ROW_DROP_TOL``
-    relative to the row norm).
+    greedily in order by one Gram-Schmidt pass: each row is projected twice
+    off an orthonormal basis of the rows kept so far, and kept when its
+    residual is at least ``ROW_DROP_TOL * max(1, |row|)``.
 
     The row reduction of :func:`solve_lp_feasibility`, whose d^2 rows, one
-    per Hermitian coordinate, usually outnumber its columns. Works in chunks
-    of n rows, n the number of coordinates: the diagonal of an R-only QR
-    factor of a chunk supplies the sequential residual norms, and it covers
-    at most n rows. Later chunks are first projected off an orthonormal basis
-    of the rows kept so far.
+    per Hermitian coordinate, usually outnumber its columns.
     """
-    m, n = rows.shape
-    block = max(1, n)
-    q = np.zeros((0, n))
+    basis = np.zeros((0, rows.shape[1]))
     kept: list[int] = []
-    for start in range(0, m, block):
-        chunk = rows[start : start + block]
-        if q.shape[0]:
-            chunk = chunk - (chunk @ q.T) @ q
-            chunk -= (chunk @ q.T) @ q
-        resid = np.abs(np.diag(np.linalg.qr(chunk.T, mode="r")))
-        scale = np.maximum(1.0, np.linalg.norm(rows[start : start + block], axis=1))
-        keep_local = np.flatnonzero(resid >= ROW_DROP_TOL * scale)
-        kept.extend(int(start + j) for j in keep_local)
-        if keep_local.size and start + block < m:
-            q_new, _ = np.linalg.qr(chunk[keep_local].T)
-            q = np.vstack([q, q_new.T])
+    for i, row in enumerate(rows):
+        x = row - basis.T @ (basis @ row)
+        x = x - basis.T @ (basis @ x)
+        norm = np.linalg.norm(x)
+        if norm >= ROW_DROP_TOL * max(1.0, np.linalg.norm(row)):
+            basis = np.vstack([basis, x / norm])
+            kept.append(i)
     return np.asarray(kept, dtype=int)
 
 

@@ -27,7 +27,6 @@ from .states import Ensemble
 
 MEASUREMENT_PSD_TOL = 1e-9
 MEASUREMENT_SUM_TOL = 1e-8
-GAP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,10 @@ def _ppt_problem(e: Ensemble) -> SDPProblem:
 
 def _accepted_measurement(sol: SDPSolution, n: int, label: str) -> Measurement:
     """The measurement in the first n X blocks of an accepted solve. A solve
-    that is not optimal within GAP_TOL, or whose blocks fail the Measurement
-    checks, has not converged: ConvergenceError, carrying the solution."""
+    that is not optimal, or whose blocks fail the Measurement checks, has
+    not converged: ConvergenceError, carrying the solution."""
     if sol.status != conesolve.STATUS_OPTIMAL:
         raise ConvergenceError(f"{label} solve ended with status {sol.status}", sol)
-    if abs(sol.gap) > GAP_TOL * (1.0 + abs(sol.dual_value)):
-        raise ConvergenceError(f"{label} duality gap {sol.gap:.2e} above tolerance", sol)
     try:
         return Measurement(tuple(sol.x_blocks[:n]))
     except ValueError as exc:

@@ -22,6 +22,7 @@ SUBSET_CAP = 20  # subset enumeration costs 2^(N-1) per index
 
 CROSS_TERM_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
+UNIT_NORM_TOL = 1e-10
 
 
 class ProductSetError(ValueError):
@@ -222,7 +223,7 @@ def ups_plus_state_bound(s: UPSet, z: np.ndarray, lam: float) -> UPSBoundReport:
         raise ExtraStateError("z does not live on the set's space")
     with np.errstate(over="ignore"):  # a huge entry: an infinite norm
         norm = np.linalg.norm(z)
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise ExtraStateError("z must be a unit vector")
     for k, member in enumerate(s.members):
         if abs(np.vdot(member.vector, z)) > ORTHOGONALITY_TOL:

@@ -219,6 +219,13 @@ def _factor_product_ensemble(path):
     path.write_text(json.dumps(data))
 
 
+def _bool_factor_product_set(path):
+    write_product_set(path, (2, 2), [(0, 0), (0, 1), (1, 0), (1, 1)])
+    data = json.loads(path.read_text())
+    data["space"]["factors_x"] = [True, 2]  # JSON true is not the dimension 1
+    path.write_text(json.dumps(data))
+
+
 def _probs_ensemble(probs):
     """Writes bell3 with its probs replaced; a string or bool is not a number,
     although float() would take it."""
@@ -256,6 +263,13 @@ def _probs_ensemble(probs):
          {"kind": "ensemble", "space": {"dim_x": 2.9, "dim_y": 2}, "states": [], "probs": []},
          "bad space header: 'float' object cannot be interpreted as an integer"),
         (["discriminate", "{path}", "--class", "global"],
+         {"kind": "ensemble", "space": {"dim_x": True, "dim_y": 2},
+          "states": [encode_matrix(np.diag([1.0, 0.0])), encode_matrix(np.diag([0.0, 1.0]))],
+          "probs": [0.5, 0.5]},
+         "bad space header: dims must be integers, not True"),
+        (["ups", "{path}", "--action", "check"],
+         _bool_factor_product_set, "bad space header: dims must be integers, not True"),
+        (["discriminate", "{path}", "--class", "global"],
          _probs_ensemble(["0.5", "0.25", "0.25"]), "probs must be a list of numbers"),
         (["discriminate", "{path}", "--class", "global"],
          _probs_ensemble([True, 0, 0]), "probs must be a list of numbers"),
@@ -264,7 +278,8 @@ def _probs_ensemble(probs):
     ],
     ids=["ups-bound-z", "ups-check", "discriminate-list", "discriminate-bare-rows",
          "discriminate-no-space", "ups-members-number", "discriminate-float-factor",
-         "discriminate-factor-product", "discriminate-float-dim", "discriminate-string-probs", "discriminate-bool-probs",
+         "discriminate-factor-product", "discriminate-float-dim", "discriminate-bool-dim",
+         "ups-bool-factor", "discriminate-string-probs", "discriminate-bool-probs",
          "discriminate-number-probs"],
 )
 def test_malformed_json_input_rejected(tmp_path, capsys, argv, content, message):

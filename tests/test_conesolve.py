@@ -4,8 +4,10 @@ import inspect
 import numpy as np
 import pytest
 
+from sepdisc import conesolve
 from sepdisc.conesolve import (
     BOUNDARY_FRACTION,
+    ConvergenceError,
     DualCertificate,
     _add_schur_term,
     _block_gathers,
@@ -154,8 +156,7 @@ def test_independent_rows_matches_greedy_reference(rng):
         rows = mixed(m, int(rng.integers(1, 12)), max(1, m // 2))
         assert independent_rows(rows).tolist() == greedy(rows)
 
-    # Wider than one 256-row chunk: m <= n is a single QR, m > n spans
-    # several chunks of n rows.
+    # Hundreds of rows, at most (m <= n) and more (m > n) than the columns.
     for m, n in ((300, 300), (200, 290), (650, 270)):
         rows = mixed(m, n, m // 4)
         kept = independent_rows(rows)
@@ -374,6 +375,16 @@ def test_no_workspace_state_leaks_between_solves():
     assert a.log == b.log
     for u, v in zip(a.x_blocks + a.z_blocks + [a.y], b.x_blocks + b.z_blocks + [b.y]):
         assert u.tobytes() == v.tobytes()
+
+
+def test_failed_solve_is_labelled_by_its_stop_reason(monkeypatch):
+    # With every step length 0 the iteration collapses at iterate 0, which is
+    # not within ACCEPT_*: the status says so, not max-iterations.
+    monkeypatch.setattr(conesolve, "_max_step", lambda stacks, dstacks: 0.0)
+    with pytest.raises(ConvergenceError, match="ended with status step-collapse$") as info:
+        optimal_global(catalog("bell3"))
+    sol = info.value.solution
+    assert (sol.status, sol.stop_reason, sol.iterations) == ("step-collapse", "step-collapse", 0)
 
 
 def test_dual_certificate_trace():

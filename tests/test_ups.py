@@ -3,6 +3,7 @@ import pytest
 
 from feng_fixture import EXPECTED_REPLACEMENTS
 from sepdisc.certificates import block_positivity_search
+from sepdisc import conesolve
 from sepdisc.conesolve import verify_farkas
 from sepdisc.linalg import BipartiteSpace, orthogonal_complement
 from sepdisc.states import ProductVector, UPSet, catalog, fix_phase, projector, tiles_orthogonal_state
@@ -164,6 +165,24 @@ def test_feng_separable_discrimination_infeasible():
     assert report.measurement is None
     cols = [pv_.projection for pv_ in report.replacements.all_vectors()]
     assert verify_farkas(cols, np.eye(16, dtype=complex), report.farkas)
+
+
+def test_feng_lp_keeps_a_row_per_rank(monkeypatch):
+    # The LP's 256 coordinate rows against 49 columns have rank 49, and the
+    # row reduction keeps 49 of them that still have that rank.
+    seen = []
+    reduce_rows = conesolve.independent_rows
+
+    def spy(rows):
+        kept = reduce_rows(rows)
+        seen.append((rows, kept))
+        return kept
+
+    monkeypatch.setattr(conesolve, "independent_rows", spy)
+    separable_perfect_discrimination(catalog("feng"))
+    [(rows, kept)] = seen
+    assert rows.shape == (256, 49) and np.linalg.matrix_rank(rows) == 49
+    assert kept.size == 49 and np.linalg.matrix_rank(rows[kept]) == 49
 
 
 def test_min_product_overlap_complete_basis():
