@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -241,12 +240,16 @@ def breuer_hall_witness(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return witness
 
 
+def ydy_witness_unitary() -> np.ndarray:
+    """V = i sigma_2 (x) sigma_3, the unitary of the YDY certificate."""
+    return 1j * kron(PAULI[2], PAULI[3])
+
+
 def ydy_certificate() -> DualCertificate:
     """Separable-measurement dual certificate of trace 3/4 for the uniform
     Yu-Duan-Ying ensemble: H = (1/16)(1 - T_X(vec(V)vec(V)*)) with
-    V = i sigma_2 (x) sigma_3."""
-    v = 1j * kron(PAULI[2], PAULI[3])
-    vv = vec(v)
+    V = :func:`ydy_witness_unitary`."""
+    vv = vec(ydy_witness_unitary())
     h = (np.eye(16, dtype=complex) - partial_transpose(np.outer(vv, vv.conj()), 4, 4)) / 16.0
     return DualCertificate(h, "sep-dual")
 
@@ -276,22 +279,13 @@ class ConeSearchReport:
         return self.min_overlap < -REFUTATION_TOL
 
 
-@lru_cache(maxsize=8)
 def _initial_directions(dim: int, restarts: int, seed: int) -> np.ndarray:
-    """Per-restart unit vectors from independently seeded generators, so a
-    parallel or batched run reproduces the sequential one exactly.
-
-    Drawn once per (dim, restarts, seed) and shared by every later search
-    with that key, so the array is read-only; callers copy it to update it.
-    """
-    out = np.empty((restarts, dim), dtype=complex)
-    for r in range(restarts):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r))))
-        raw = rng.standard_normal(2 * dim)
-        y = raw[:dim] + 1j * raw[dim:]
-        out[r] = y / np.linalg.norm(y)
-    out.flags.writeable = False
-    return out
+    """Unit start vectors, one row per restart, drawn from one seeded stream,
+    so row r is the same for every restarts > r."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    raw = rng.standard_normal((restarts, 2 * dim))
+    y = raw[:, :dim] + 1j * raw[:, dim:]
+    return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
 def block_positivity_search(
@@ -317,7 +311,7 @@ def block_positivity_search(
     nx, ny = space.dim_x, space.dim_y
     h4 = h.reshape(nx, ny, nx, ny)
 
-    ys = _initial_directions(ny, restarts, seed).copy()
+    ys = _initial_directions(ny, restarts, seed)
     xs = np.zeros((restarts, nx), dtype=complex)
     vals = np.full(restarts, np.inf)
     iters = np.zeros(restarts, dtype=int)

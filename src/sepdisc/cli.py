@@ -33,6 +33,7 @@ from .certificates import (
     three_bell_slack_conjugations,
     three_bell_slack_map_residual,
     ydy_certificate,
+    ydy_witness_unitary,
 )
 from .conesolve import ConvergenceError, format_iterate_log, span_residual
 from .discrimination import (
@@ -42,7 +43,7 @@ from .discrimination import (
     sep_bound_from_certificate,
     three_bell_value,
 )
-from .linalg import BipartiteSpace, PAULI, kron
+from .linalg import BipartiteSpace
 from .states import (
     CATALOG_NAMES,
     Ensemble,
@@ -286,8 +287,7 @@ def _bell4_certificate(eps: float):
 
 
 def _ydy_certificate(_):
-    cert, ens, us = ydy_certificate(), catalog("ydy"), ydy_unitaries()
-    v = 1j * kron(PAULI[2], PAULI[3])
+    cert, ens, us, v = ydy_certificate(), catalog("ydy"), ydy_unitaries(), ydy_witness_unitary()
     skews = [v.T @ u for u in us]
     diffs = [
         cert.matrix - p * rho - breuer_hall_witness(u, v) / 16.0

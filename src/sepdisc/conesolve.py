@@ -730,12 +730,11 @@ def solve_lp_feasibility(columns: list[np.ndarray], target: np.ndarray) -> LPFea
     objective.append(-np.ones((1, 1), dtype=complex))
 
     # Dual start: slack from Y = c * identity is strictly positive when c is
-    # small against the artificial column's trace. It is projected onto the
-    # kept rows when some are dropped.
+    # small against the artificial column's trace. Its multipliers on the kept
+    # rows give the same slack, since the dropped rows lie in their span.
     c0 = 1.0 / (2.0 * (1.0 + abs(float(np.trace(artificial).real))))
-    y_start = herm_to_coords(c0 * np.eye(d, dtype=complex))
-    if kept.size < rhs.size:
-        y_start, *_ = np.linalg.lstsq(rows.T, col_coords.T @ y_start, rcond=None)
+    y_full = herm_to_coords(c0 * np.eye(d, dtype=complex))
+    y_start, *_ = np.linalg.lstsq(rows.T, col_coords.T @ y_full, rcond=None)
 
     problem = SDPProblem(
         block_dims=(1,) * (ncol + 1),

@@ -131,16 +131,25 @@ def _ppt_problem(e: Ensemble) -> SDPProblem:
     )
 
 
-def _accepted_measurement(sol: SDPSolution, n: int, label: str) -> Measurement:
-    """The measurement in the first n X blocks of an accepted solve. A solve
-    that is not optimal, or whose blocks fail the Measurement checks, has
-    not converged: ConvergenceError, carrying the solution."""
+def _solve(e: Ensemble, problem: SDPProblem, label: str, cone_tag: str) -> DiscriminationResult:
+    """Solve a program whose first len(e) X blocks are the measurement and whose
+    first d^2 multipliers are H. A solve that is not optimal, or whose blocks
+    fail the Measurement checks, raises ConvergenceError carrying the solution."""
+    sol = conesolve.solve_sdp(problem)
     if sol.status != conesolve.STATUS_OPTIMAL:
         raise ConvergenceError(f"{label} solve ended with status {sol.status}", sol)
     try:
-        return Measurement(tuple(sol.x_blocks[:n]))
+        measurement = Measurement(tuple(sol.x_blocks[: len(e)]))
     except ValueError as exc:
         raise ConvergenceError(f"{label} solve was accepted, but {exc}", sol) from exc
+    d = e.space.total_dim
+    return DiscriminationResult(
+        value=sol.primal_value,
+        measurement=measurement,
+        certificate=DualCertificate(coords_to_herm(sol.y[: d * d], d), cone_tag),
+        gap=sol.gap,
+        solution=sol,
+    )
 
 
 def optimal_global(e: Ensemble) -> DiscriminationResult:
@@ -149,17 +158,7 @@ def optimal_global(e: Ensemble) -> DiscriminationResult:
     The dual certificate H satisfies H - p_k rho_k >= 0 for every k, hence is
     also feasible for the PPT and separable dual cones.
     """
-    sol = conesolve.solve_sdp(_global_problem(e))
-    measurement = _accepted_measurement(sol, len(e), "global discrimination")
-    d = e.space.total_dim
-    h = coords_to_herm(sol.y[: d * d], d)
-    return DiscriminationResult(
-        value=sol.primal_value,
-        measurement=measurement,
-        certificate=DualCertificate(h, "psd-dual"),
-        gap=sol.gap,
-        solution=sol,
-    )
+    return _solve(e, _global_problem(e), "global discrimination", "psd-dual")
 
 
 def optimal_ppt(e: Ensemble) -> DiscriminationResult:
@@ -170,21 +169,10 @@ def optimal_ppt(e: Ensemble) -> DiscriminationResult:
     diagonal. The dual certificate H comes with the decomposition
     H - p_k rho_k = S_k + T_X(S'_k) with S_k, S'_k PSD from the dual slacks.
     """
-    n = len(e)
-    sol = conesolve.solve_sdp(_ppt_problem(e))
-    measurement = _accepted_measurement(sol, n, "ppt discrimination")
-    d = e.space.total_dim
-    dd = d * d
-    h = coords_to_herm(sol.y[:dd], d)
-    parts = [(sol.z_blocks[k], sol.z_blocks[n + k]) for k in range(n)]
-    return DiscriminationResult(
-        value=sol.primal_value,
-        measurement=measurement,
-        certificate=DualCertificate(h, "ppt-dual"),
-        gap=sol.gap,
-        solution=sol,
-        certificate_parts=parts,
-    )
+    res = _solve(e, _ppt_problem(e), "ppt discrimination", "ppt-dual")
+    z, n = res.solution.z_blocks, len(e)
+    res.certificate_parts = [(z[k], z[n + k]) for k in range(n)]
+    return res
 
 
 def three_bell_value(epsilon: float) -> float:

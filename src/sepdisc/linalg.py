@@ -4,9 +4,9 @@ Everything downstream (state constructors, the cone solver, certificate
 checks) runs on plain ``numpy`` arrays; this module supplies the bipartite
 bookkeeping and the handful of primitives the rest of the package is built
 from: Kronecker products, the partial transpose T_X and partial trace Tr_X
-on C^dim_x (x) C^dim_y, factor permutations, the row-major vec
-correspondence, and the fixed orthonormal real basis of the Hermitian
-operators that exposes them to the solver as real coordinate vectors.
+on C^dim_x (x) C^dim_y, the row-major vec correspondence, and the fixed
+orthonormal real basis of the Hermitian operators that exposes them to the
+solver as real coordinate vectors.
 
 All operations are pure functions; arrays are treated as immutable.
 """
@@ -121,19 +121,6 @@ def partial_transpose(a: np.ndarray, dim_x: int, dim_y: int) -> np.ndarray:
 def partial_trace(a: np.ndarray, dim_x: int, dim_y: int) -> np.ndarray:
     """Tr_X of an operator on C^dim_x (x) C^dim_y."""
     return np.trace(_split(a, dim_x, dim_y), axis1=0, axis2=2)
-
-
-def permute_factors_matrix(dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
-    """Permutation matrix P with (P v) = v reshaped by ``dims``, axes
-    reordered by ``perm``, and flattened again.
-
-    P (x_0 (x) ... (x) x_{n-1}) = x_{perm[0]} (x) ... (x) x_{perm[n-1]}.
-    """
-    d = math.prod(dims)
-    idx = np.arange(d).reshape(dims).transpose(perm).reshape(-1)
-    p = np.zeros((d, d))
-    p[np.arange(d), idx] = 1.0
-    return p
 
 
 def orthogonal_complement(vectors: list[np.ndarray], dim: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from .linalg import (
     NonHermitianError,
     PAULI,
     kron,
-    permute_factors_matrix,
     require_hermitian,
     vec,
 )
@@ -292,16 +291,10 @@ def catalog(name: str):
 # ---------------------------------------------------------------------------
 
 
-def resource_reorder_unitary() -> np.ndarray:
-    """16x16 permutation W swapping the middle factors of a four-qubit space,
-    W (x1 (x) x2 (x) y1 (x) y2) = x1 (x) y1 (x) x2 (x) y2."""
-    return permute_factors_matrix((2, 2, 2, 2), (0, 2, 1, 3))
-
-
 def resource_frame_to_xy(op: np.ndarray) -> np.ndarray:
-    """Conjugate an operator on X1 Y1 X2 Y2 into the (X1 X2) : (Y1 Y2) frame."""
-    w = resource_reorder_unitary()
-    return w.T @ op @ w
+    """An operator on X1 Y1 X2 Y2 in the (X1 X2) : (Y1 Y2) frame: the middle
+    qubit axes of its rows and of its columns swapped, an entry permutation."""
+    return np.asarray(op).reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
 
 
 def extend_ensemble(e: Ensemble, epsilon: float) -> Ensemble:

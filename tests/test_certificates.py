@@ -16,6 +16,7 @@ from sepdisc.certificates import (
     three_bell_slack_map_residual,
     two_qubit_positive_map,
     ydy_certificate,
+    ydy_witness_unitary,
 )
 from sepdisc.discrimination import four_bell_value, three_bell_value
 from sepdisc.linalg import BipartiteSpace, PAULI, kron, partial_transpose, vec
@@ -208,6 +209,7 @@ def test_ydy_certificate_trace_and_identity():
     cert = ydy_certificate()
     assert cert.claimed_value == 0.75
     v = 1j * kron(PAULI[2], PAULI[3])
+    assert np.array_equal(ydy_witness_unitary(), v)
     kets = ydy_kets()
     for k, u in enumerate(ydy_unitaries()):
         # the ket is vec(U)/2, so the slack is the witness over 16
@@ -277,26 +279,13 @@ def test_search_min_never_increases_with_restarts():
     assert mins[2] <= mins[1] + 1e-15
 
 
-def test_initial_directions_are_read_only():
-    dirs = _initial_directions(3, 10, 5)
-    assert not dirs.flags.writeable
-    with pytest.raises(ValueError):
-        dirs[0, 0] = 0.0
-
-
-def test_search_leaves_cached_directions_unchanged():
-    h = 0.4 * np.eye(4, dtype=complex) - projector(bell(1))
-    _initial_directions.cache_clear()
-    a = block_positivity_search(h, SP22, restarts=30, seed=11)
-    cached = _initial_directions(2, 30, 11)
-    before = cached.tobytes()
-    b = block_positivity_search(h, SP22, restarts=30, seed=11)
-    assert _initial_directions.cache_info().misses == 1
-    assert cached.tobytes() == before
-    assert a.min_overlap == b.min_overlap
-    assert a.iterations_per_restart == b.iterations_per_restart
-    assert a.witness.x.tobytes() == b.witness.x.tobytes()
-    assert a.witness.y.tobytes() == b.witness.y.tobytes()
+def test_initial_directions_are_prefix_stable_unit_rows():
+    many = _initial_directions(3, 40, 5)
+    assert many.shape == (40, 3)
+    assert np.array_equal(many[:7], _initial_directions(3, 7, 5))
+    assert np.abs(np.linalg.norm(many, axis=1) - 1.0).max() <= 1e-15
+    other = _initial_directions(3, 40, 6)
+    assert not np.any(np.all(many == other, axis=1))
 
 
 @pytest.mark.parametrize(
@@ -304,7 +293,5 @@ def test_search_leaves_cached_directions_unchanged():
     [(0, 1, "restarts must be at least 1"), (-5, 1, "restarts"), (10, -1, "seed must be nonnegative")],
 )
 def test_search_rejects_bad_restarts_and_seed(restarts, seed, message):
-    _initial_directions.cache_clear()
     with pytest.raises(ValueError, match=message):
         block_positivity_search(np.eye(4, dtype=complex), SP22, restarts=restarts, seed=seed)
-    assert _initial_directions.cache_info().currsize == 0

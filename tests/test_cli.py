@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from sepdisc.certificates import _initial_directions
 from sepdisc.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -166,16 +165,6 @@ def test_certify_ydy_deterministic(tmp_path):
     assert rep1["outputs"] == rep2["outputs"]
     assert rep1["outputs"]["claimed_trace"] == 0.75
     assert max(rep1["outputs"]["skew_symmetry_residuals"]) <= 1e-12
-
-
-def test_certify_ydy_cold_and_warm_direction_cache(tmp_path):
-    _initial_directions.cache_clear()
-    code1, rep1 = run(tmp_path, "certify", "ydy")
-    assert _initial_directions.cache_info().misses == 1
-    code2, rep2 = run(tmp_path, "certify", "ydy")
-    assert _initial_directions.cache_info().misses == 1
-    assert code1 == code2 == EXIT_OK
-    assert json.dumps(rep1["outputs"]) == json.dumps(rep2["outputs"])
 
 
 @pytest.mark.parametrize(

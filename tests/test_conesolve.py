@@ -381,10 +381,12 @@ def test_failed_solve_is_labelled_by_its_stop_reason(monkeypatch):
     # With every step length 0 the iteration collapses at iterate 0, which is
     # not within ACCEPT_*: the status says so, not max-iterations.
     monkeypatch.setattr(conesolve, "_max_step", lambda stacks, dstacks: 0.0)
-    with pytest.raises(ConvergenceError, match="ended with status step-collapse$") as info:
-        optimal_global(catalog("bell3"))
-    sol = info.value.solution
-    assert (sol.status, sol.stop_reason, sol.iterations) == ("step-collapse", "step-collapse", 0)
+    for solve, label in ((optimal_global, "global"), (optimal_ppt, "ppt")):
+        message = f"^{label} discrimination solve ended with status step-collapse$"
+        with pytest.raises(ConvergenceError, match=message) as info:
+            solve(catalog("bell3"))
+        sol = info.value.solution
+        assert (sol.status, sol.stop_reason, sol.iterations) == ("step-collapse", "step-collapse", 0)
 
 
 def test_dual_certificate_trace():

@@ -13,7 +13,6 @@ from sepdisc.linalg import (
     orthogonal_complement,
     partial_trace,
     partial_transpose,
-    permute_factors_matrix,
     require_hermitian,
     vec,
 )
@@ -229,13 +228,6 @@ def test_space_validation():
         BipartiteSpace(0, 2)
     with pytest.raises(DimensionMismatchError):
         space.check_operator(np.eye(4))
-
-
-def test_permute_factors_matrix_is_permutation():
-    w = permute_factors_matrix((2, 2, 2, 2), (0, 2, 1, 3))
-    assert np.array_equal(w @ w.T, np.eye(16))
-    x1, x2, y1, y2 = (np.eye(2)[i] for i in (0, 1, 1, 0))
-    assert np.array_equal(w @ kron(x1, x2, y1, y2), kron(x1, y1, x2, y2))
 
 
 def test_orthogonal_complement():

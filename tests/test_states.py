@@ -14,7 +14,6 @@ from sepdisc.states import (
     fix_phase,
     projector,
     resource_frame_to_xy,
-    resource_reorder_unitary,
     tau,
     tiles_factors,
     tiles_orthogonal_state,
@@ -147,10 +146,20 @@ def test_ensemble_validation():
         Ensemble(space, (skew,), np.array([1.0]))
 
 
-def test_reorder_unitary_is_involution():
-    w = resource_reorder_unitary()
-    assert np.array_equal(w.conj().T @ w, np.eye(16))
-    assert np.array_equal(w @ w, np.eye(16))
+def test_resource_frame_is_the_middle_qubit_swap(rng):
+    # dense reference: W e_i = e_j with the bits of j the bits (a, b, c, d)
+    # of i reordered to (a, c, b, d), so W^T op W is op in the (X1 X2) frame
+    w = np.zeros((16, 16))
+    for i in range(16):
+        a, b, c, d = (i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1
+        w[8 * a + 4 * c + 2 * b + d, i] = 1.0
+    op = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    assert np.array_equal(resource_frame_to_xy(op), w.T @ op @ w)
+    assert np.array_equal(resource_frame_to_xy(resource_frame_to_xy(op)), op)
+    kets = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    x1, y1, x2, y2 = kets / np.linalg.norm(kets, axis=1, keepdims=True)
+    got = resource_frame_to_xy(projector(kron(x1, y1, x2, y2)))
+    assert np.abs(got - projector(kron(x1, x2, y1, y2))).max() <= 1e-14
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.4, 1.0])
@@ -179,12 +188,10 @@ def test_extension_commutes_with_mixing(rng):
 
 
 def test_extension_separable_frame():
-    # the extended first Bell state equals W^T (phi (x) tau) W entrywise
+    # the extended first Bell state is phi (x) tau in the (X1 X2) frame
     eps = 0.5
-    w = resource_reorder_unitary()
     raw = kron(projector(bell(1)), projector(tau(eps)))
     e = extend_ensemble(catalog("bell3"), eps)
-    assert np.abs(e.states[0] - w.T @ raw @ w).max() <= 1e-15
     assert np.array_equal(e.states[0], resource_frame_to_xy(raw))
 
 
