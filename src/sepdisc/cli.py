@@ -12,6 +12,7 @@ certificate.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import operator
@@ -214,8 +215,8 @@ def _resolve_ensemble(args) -> Ensemble:
             raise InputError(f"bad --prior value {args.prior!r}") from exc
         if probs.size != len(ens):
             raise InputError(f"prior needs {len(ens)} entries, got {probs.size}")
-        try:
-            ens = Ensemble(ens.space, ens.states, probs)
+        try:  # the symmetry fixes each state, so it holds for any prior
+            ens = dataclasses.replace(ens, probs=probs)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if args.epsilon is not None:

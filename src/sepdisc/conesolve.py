@@ -46,7 +46,9 @@ solve from 43.7 to 34.9 ms, with every floating-point operation unchanged.
 
 Everything else works on stacks: X, Z, Z^-1, the residuals and the
 directions are one (k, d, d) array per run of k consecutive d-dimensional
-blocks (every PPT, global and LP program is one run), and Cholesky, Z^-1,
+blocks (every LP program, and every PPT and global program over full
+matrices, is one run; one in symmetry blocks, sorted by size, is one run per
+block size, two for the Bell families and ydy), and Cholesky, Z^-1,
 the coordinate maps, inner products, HKM products and step length are one
 numpy gufunc call per run. A batched gufunc runs the same LAPACK or BLAS
 routine on each matrix, and per-block inner products are added by the

@@ -22,11 +22,14 @@ from .certificates import (
     block_positivity_search,
 )
 from .conesolve import ConvergenceError, DualCertificate, SDPProblem, SDPSolution
-from .linalg import coords_to_herm, herm_to_coords, partial_transpose, real_map_matrix
+from .linalg import coords_to_herm, herm_to_coords, kron, partial_transpose
 from .states import Ensemble
 
 MEASUREMENT_PSD_TOL = 1e-9
 MEASUREMENT_SUM_TOL = 1e-8
+# Eigenvalue gap, relative to the largest, that separates symmetry blocks, and
+# the tolerance of each block's check as a joint eigenspace.
+BLOCK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,85 +73,165 @@ def measurement_value(e: Ensemble, m: Measurement) -> float:
     )
 
 
-def _identity_rows(d: int, n_blocks: int, block_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows encoding P_1 + ... + P_N = identity against the Hermitian basis."""
-    dd = d * d
-    rows = np.zeros((dd, n_blocks * block_cols))
-    for k in range(n_blocks):
-        rows[:, k * block_cols : k * block_cols + dd] = np.eye(dd)
-    rhs = herm_to_coords(np.eye(d, dtype=complex))
-    return rows, rhs
-
-
-def _global_problem(e: Ensemble) -> SDPProblem:
-    n = len(e)
-    d = e.space.total_dim
-    dd = d * d
-    rows, rhs = _identity_rows(d, n, dd)
+def _symmetry_blocks(generators: list[np.ndarray], d: int) -> tuple[np.ndarray, ...]:
+    """Orthonormal bases V_i (d x n_i, sorted by size) of the joint eigenspaces
+    of commuting unitaries, whose commutant is the sum_i V_i B_i V_i^dagger:
+    the eigenspaces of a fixed generic Hermitian combination, checked. A real
+    combination gets real bases, which keep a real ensemble's program real.
+    One block is returned as the identity, which _compress and _lift skip."""
     eye = np.eye(d, dtype=complex)
-    c = 2.0 + float(np.max(e.probs))
-    return SDPProblem(
-        block_dims=(d,) * n,
-        objective=tuple(p * rho for p, rho in zip(e.probs, e.states)),
-        rows=rows,
-        rhs=rhs,
-        primal_start=tuple(eye / n for _ in range(n)),
-        dual_start=herm_to_coords(c * eye),
-    )
+    if not generators:
+        return (eye,)
+    coef = np.random.default_rng(0).standard_normal((len(generators), 2))
+    h = sum(a * (g + g.conj().T) + 1j * b * (g - g.conj().T) for (a, b), g in zip(coef, generators))
+    lam, vecs = np.linalg.eigh(h if h.imag.any() else h.real)
+    cuts = np.flatnonzero(np.diff(lam) > BLOCK_TOL * (1.0 + np.abs(lam).max())) + 1
+    blocks = np.split(vecs, cuts, axis=1)
+    for v, g in ((v, g) for v in blocks for g in generators):
+        gv = g @ v
+        if np.abs(gv - np.vdot(v[:, 0], gv[:, 0]) * v).max() > BLOCK_TOL:
+            raise ValueError("the symmetry's joint eigenspaces were not separated")
+    if len(blocks) == 1:
+        return (eye,)
+    return tuple(sorted((_pivoted_basis(v) for v in blocks), key=lambda v: v.shape[1]))
 
 
-def _ppt_problem(e: Ensemble) -> SDPProblem:
-    n = len(e)
+def _pivoted_basis(v: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of the column space of v that Gram-Schmidt makes
+    of the columns of v (v[piv])^-1, piv the first linearly independent rows
+    of v: a function of the space, not of the rotation eigh picks within a
+    repeated eigenvalue. The end of a PPT solve can turn on that rotation:
+    with eigh's bases, bell4 x tau(0.8) broke weak duality on two threads."""
+    piv: list[int] = []
+    for r in range(v.shape[0]):
+        if len(piv) < v.shape[1] and np.linalg.matrix_rank(v[piv + [r]], BLOCK_TOL) > len(piv):
+            piv.append(r)
+    cols: list[np.ndarray] = []
+    for c in (v @ np.linalg.inv(v[piv])).T:
+        for q in cols:
+            c = c - q * np.vdot(q, c)
+        cols.append(c / np.linalg.norm(c))
+    return np.stack(cols, axis=1)
+
+
+def _compress(bases, a: np.ndarray) -> list[np.ndarray]:
+    """The blocks V_i^dagger A V_i of an operator, or of a stack of them."""
+    return [a] if len(bases) == 1 else [v.conj().T @ a @ v for v in bases]
+
+
+def _lift(bases, blocks) -> np.ndarray:
+    """The operator sum_i V_i B_i V_i^dagger with the given blocks."""
+    if len(bases) == 1:
+        return blocks[0]
+    return sum(v @ b @ v.conj().T for v, b in zip(bases, blocks))
+
+
+def _bases(e: Ensemble, ppt: bool):
+    """Block bases (V, W): V for each P_k from the group G of U_X (x) U_Y, and
+    for the PPT class W for each T_X(P_k) from G' = {conj(U_X) (x) U_Y}, since
+    T_X turns conjugation by U_X (x) U_Y into conjugation by conj(U_X) (x) U_Y.
+    W is None for the global class."""
     d = e.space.total_dim
-    dd = d * d
-    dx, dy = e.space.dim_x, e.space.dim_y
-    pt_real = real_map_matrix(lambda b: partial_transpose(b, dx, dy), d)
+    v = _symmetry_blocks([kron(ux, uy) for ux, uy in e.symmetry], d)
+    if not ppt:
+        return v, None
+    return v, _symmetry_blocks([kron(ux.conj(), uy) for ux, uy in e.symmetry], d)
 
-    n_cols = 2 * n * dd
-    id_rows, id_rhs = _identity_rows(d, n, dd)
-    id_rows = np.hstack([id_rows, np.zeros((dd, n * dd))])
-    link_rows = np.zeros((n * dd, n_cols))
+
+def _program(e: Ensemble, v, w=None) -> tuple[SDPProblem, list[list[int]]]:
+    """The global (W None) or PPT program over P_k = sum_i V_i X_ki V_i^dagger
+    and T_X(P_k) = sum_j W_j Y_kj W_j^dagger, and per operator (P_1..P_n, then
+    T_X(P_1)..T_X(P_n)) the positions of its blocks, stably sorted by size.
+    Rows: sum_k X_ki = 1 per V-block i (multipliers: H's blocks), then
+    W_j^dagger T_X(P_k) W_j = Y_kj. Starts: 1/n in every block, y = c 1 on the
+    identity rows and -1 on the links. Trivial bases give the program over
+    full matrices bit for bit."""
+    n = len(e)
+    groups = [v] * n + ([w] * n if w is not None else [])
+    order = sorted(
+        ((o, i) for o, g in enumerate(groups) for i in range(len(g))),
+        key=lambda oi: groups[oi[0]][oi[1]].shape[1],
+    )
+    dims = [groups[o][i].shape[1] for o, i in order]
+    starts = np.cumsum([0] + [m * m for m in dims])
+    slots = [[0] * len(g) for g in groups]
+    for pos, (o, i) in enumerate(order):
+        slots[o][i] = pos
+    # Each operator's coordinates, block after block, as program columns.
+    cols = [np.concatenate([np.arange(starts[p], starts[p + 1]) for p in s]) for s in slots]
+
+    nv = sum(b.shape[1] ** 2 for b in v)
+    nw = 0 if w is None else sum(b.shape[1] ** 2 for b in w)
+    rows = np.zeros((nv + n * nw, starts[-1]))
     for k in range(n):
-        block = link_rows[k * dd : (k + 1) * dd]
-        block[:, k * dd : (k + 1) * dd] = pt_real.T  # coords of T_X(basis_r) in P_k
-        block[:, (n + k) * dd : (n + k + 1) * dd] = -np.eye(dd)
-    rows = np.vstack([id_rows, link_rows])
-    rhs = np.concatenate([id_rhs, np.zeros(n * dd)])
+        rows[:nv, cols[k]] = np.eye(nv)
+    if w is not None:
+        # Basis element C of a W-block against basis element B of V-block i:
+        # <W_j C W_j^dagger, T_X(V_i B V_i^dagger)>, the coordinate of B in
+        # the V_i-block of T_X(W_j C W_j^dagger).
+        dx, dy = e.space.dim_x, e.space.dim_y
+        tx = np.stack([
+            partial_transpose(c if len(w) == 1 else b @ c @ b.conj().T, dx, dy)
+            for b in w
+            for c in coords_to_herm(np.eye(b.shape[1] ** 2), b.shape[1])
+        ])
+        link = np.concatenate([herm_to_coords(c) for c in _compress(v, tx)], axis=1)
+        for k in range(n):
+            rows[nv + k * nw : nv + (k + 1) * nw, cols[k]] = link
+            rows[nv + k * nw : nv + (k + 1) * nw, cols[n + k]] = -np.eye(nw)
+    eyes = [np.eye(b.shape[1], dtype=complex) for b in v]
+    rhs = np.zeros(rows.shape[0])
+    rhs[:nv] = np.concatenate([herm_to_coords(eye) for eye in eyes])
 
-    eye = np.eye(d, dtype=complex)
-    objective = tuple(p * rho for p, rho in zip(e.probs, e.states)) + tuple(
-        np.zeros((d, d), dtype=complex) for _ in range(n)
-    )
-    c = 3.0 + float(np.max(e.probs))
-    dual_start = herm_to_coords(np.stack([c * eye] + [-eye] * n)).reshape(-1)
-    return SDPProblem(
-        block_dims=(d,) * (2 * n),
-        objective=objective,
+    blocks = [_compress(v, p * rho) for p, rho in zip(e.probs, e.states)]
+    c = (2.0 if w is None else 3.0) + float(np.max(e.probs))
+    dual_start = [herm_to_coords(c * eye) for eye in eyes]
+    if w is not None:
+        blocks += [[np.zeros((b.shape[1],) * 2, dtype=complex) for b in w]] * n
+        dual_start += [herm_to_coords(-np.eye(b.shape[1], dtype=complex)) for b in w] * n
+    problem = SDPProblem(
+        block_dims=tuple(dims),
+        objective=tuple(blocks[o][i] for o, i in order),
         rows=rows,
         rhs=rhs,
-        primal_start=tuple(eye / n for _ in range(2 * n)),
-        dual_start=dual_start,
+        primal_start=tuple(np.eye(m, dtype=complex) / n for m in dims),
+        dual_start=np.concatenate(dual_start),
     )
+    return problem, slots
 
 
-def _solve(e: Ensemble, problem: SDPProblem, label: str, cone_tag: str) -> DiscriminationResult:
-    """Solve a program whose first len(e) X blocks are the measurement and whose
-    first d^2 multipliers are H. A solve that is not optimal, or whose blocks
-    fail the Measurement checks, raises ConvergenceError carrying the solution."""
+def _solve(e: Ensemble, ppt: bool) -> DiscriminationResult:
+    """Solve the program in the ensemble's symmetry blocks and lift the
+    measurement, H and, for the PPT class, the parts (S_k, S'_k) back to full
+    matrices. A solve that is not optimal, or whose lifted operators fail the
+    Measurement checks, raises ConvergenceError carrying the solution."""
+    label = "ppt discrimination" if ppt else "global discrimination"
+    v, w = _bases(e, ppt)
+    problem, slots = _program(e, v, w)
     sol = conesolve.solve_sdp(problem)
     if sol.status != conesolve.STATUS_OPTIMAL:
         raise ConvergenceError(f"{label} solve ended with status {sol.status}", sol)
+    n = len(e)
+
+    def lifted(blocks, bases, first: int) -> list[np.ndarray]:
+        return [_lift(bases, [blocks[p] for p in slots[o]]) for o in range(first, first + n)]
+
     try:
-        measurement = Measurement(tuple(sol.x_blocks[: len(e)]))
+        measurement = Measurement(tuple(lifted(sol.x_blocks, v, 0)))
     except ValueError as exc:
         raise ConvergenceError(f"{label} solve was accepted, but {exc}", sol) from exc
-    d = e.space.total_dim
+    sizes = [b.shape[1] for b in v]
+    h_coords = np.split(sol.y[: sum(m * m for m in sizes)], np.cumsum([m * m for m in sizes])[:-1])
+    h = _lift(v, [coords_to_herm(c, m) for c, m in zip(h_coords, sizes)])
     return DiscriminationResult(
         value=sol.primal_value,
         measurement=measurement,
-        certificate=DualCertificate(coords_to_herm(sol.y[: d * d], d), cone_tag),
+        certificate=DualCertificate(h, "ppt-dual" if ppt else "psd-dual"),
         gap=sol.gap,
         solution=sol,
+        certificate_parts=(
+            list(zip(lifted(sol.z_blocks, v, 0), lifted(sol.z_blocks, w, n))) if ppt else None
+        ),
     )
 
 
@@ -156,9 +239,11 @@ def optimal_global(e: Ensemble) -> DiscriminationResult:
     """Optimal discrimination value over unrestricted (global) measurements.
 
     The dual certificate H satisfies H - p_k rho_k >= 0 for every k, hence is
-    also feasible for the PPT and separable dual cones.
+    also feasible for the PPT and separable dual cones. With a symmetry the
+    program is solved in the blocks of its commutant, which holds an optimum
+    (average one over the group); ``result.solution`` is that solve.
     """
-    return _solve(e, _global_problem(e), "global discrimination", "psd-dual")
+    return _solve(e, ppt=False)
 
 
 def optimal_ppt(e: Ensemble) -> DiscriminationResult:
@@ -168,11 +253,10 @@ def optimal_ppt(e: Ensemble) -> DiscriminationResult:
     Hermitian-basis equality rows, so the solver cone stays PSD-block
     diagonal. The dual certificate H comes with the decomposition
     H - p_k rho_k = S_k + T_X(S'_k) with S_k, S'_k PSD from the dual slacks.
+    With a symmetry, P_k and Q_k are solved in the blocks of the commutants of
+    G and G' (see _bases), and lifted; ``result.solution`` is that solve.
     """
-    res = _solve(e, _ppt_problem(e), "ppt discrimination", "ppt-dual")
-    z, n = res.solution.z_blocks, len(e)
-    res.certificate_parts = [(z[k], z[n + k]) for k in range(n)]
-    return res
+    return _solve(e, ppt=True)
 
 
 def three_bell_value(epsilon: float) -> float:

@@ -212,9 +212,3 @@ def hermitian_basis_support(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     for a in (i1, i2, v1, v2):
         a.flags.writeable = False
     return i1, i2, v1, v2
-
-
-def real_map_matrix(apply_fn, d: int) -> np.ndarray:
-    """Real-basis matrix R of a linear map on Herm(C^d): coords(f(H)) = R @ coords(H)."""
-    basis = coords_to_herm(np.eye(d * d), d)
-    return np.stack([herm_to_coords(apply_fn(b)) for b in basis], axis=1)

@@ -29,8 +29,15 @@ PROB_TOL = 1e-12
 UNIT_TOL = 1e-12
 PHASE_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
+SYMMETRY_TOL = 1e-12
 
 CATALOG_NAMES = ("bell3", "bell4", "ydy", "domino", "tiles", "feng", "tiles_psi")
+
+# Local unitaries fixing every Bell state, and tau(eps) for every eps. The
+# angle pi/2 of diag(1, e^{i theta}) (x) diag(1, e^{-i theta}) gives the joint
+# eigenspaces of any angle in (0, pi), also conjugated on X, with exact entries.
+BELL_SYMMETRY = ((PAULI[1], PAULI[1]), (PAULI[3], PAULI[3]))
+RESOURCE_SYMMETRY = ((PAULI[3], PAULI[3]), (np.diag([1.0, 1j]), np.diag([1.0, -1j])))
 
 
 def ket(dim: int, coeffs: dict[int, complex]) -> np.ndarray:
@@ -149,11 +156,14 @@ class UPSet:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Bipartite space, density operators and their prior probabilities."""
+    """Bipartite space, density operators and their prior probabilities, and
+    local-unitary pairs (U_X, U_Y) whose products U_X (x) U_Y commute and fix
+    every state, so the discrimination programs reduce to their commutant."""
 
     space: BipartiteSpace
     states: tuple[np.ndarray, ...]
     probs: np.ndarray
+    symmetry: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def __post_init__(self) -> None:
         states = tuple(self.space.check_operator(s) for s in self.states)
@@ -175,14 +185,36 @@ class Ensemble:
                 raise ValueError("ensemble states must be positive semidefinite")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "symmetry", self._checked_symmetry())
+
+    def _checked_symmetry(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The pairs as complex arrays; ValueError naming the first defect."""
+        pairs, products = [], []
+        shapes = ((self.space.dim_x,) * 2, (self.space.dim_y,) * 2)
+        for i, (ux, uy) in enumerate(self.symmetry):
+            ux, uy = np.asarray(ux, dtype=complex), np.asarray(uy, dtype=complex)
+            if (ux.shape, uy.shape) != shapes:
+                raise ValueError(f"symmetry element {i} has shapes {ux.shape} and {uy.shape}")
+            u = kron(ux, uy)
+            defects = [("is not unitary", u @ u.conj().T - np.eye(len(u)))]
+            for k, rho in enumerate(self.states):
+                defects.append((f"moves state {k}", u @ rho @ u.conj().T - rho))
+            for j, p in enumerate(products):
+                defects.append((f"does not commute with element {j}", u @ p - p @ u))
+            for what, dev in defects:
+                if np.abs(dev).max() > SYMMETRY_TOL:
+                    raise ValueError(f"symmetry element {i} {what}")
+            pairs.append((ux, uy))
+            products.append(u)
+        return tuple(pairs)
 
     def __len__(self) -> int:
         return len(self.states)
 
 
-def uniform_pure_ensemble(space: BipartiteSpace, kets: list[np.ndarray]) -> Ensemble:
+def uniform_pure_ensemble(space: BipartiteSpace, kets: list[np.ndarray], symmetry=()) -> Ensemble:
     n = len(kets)
-    return Ensemble(space, tuple(projector(v) for v in kets), np.full(n, 1.0 / n))
+    return Ensemble(space, tuple(projector(v) for v in kets), np.full(n, 1.0 / n), symmetry)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +298,18 @@ def catalog(name: str):
 
     Returns an :class:`Ensemble` for "bell3", "bell4", "ydy", "domino" and
     "tiles_psi" (tiles members plus the orthogonal pure state, p = 1/6 each),
-    and a UPSet for "tiles" and "feng".
+    and a UPSet for "tiles" and "feng". The Bell families carry
+    ``BELL_SYMMETRY``, ydy the P (x) conj(P) for the two-qubit Paulis P.
     """
-    if name == "bell3":
-        return uniform_pure_ensemble(BipartiteSpace(2, 2), [bell(1), bell(2), bell(3)])
-    if name == "bell4":
-        return uniform_pure_ensemble(BipartiteSpace(2, 2), [bell(k) for k in range(1, 5)])
+    if name in ("bell3", "bell4"):
+        kets = [bell(k) for k in range(1, 4 if name == "bell3" else 5)]
+        return uniform_pure_ensemble(BipartiteSpace(2, 2), kets, BELL_SYMMETRY)
     if name == "ydy":
-        return uniform_pure_ensemble(BipartiteSpace(4, 4), ydy_kets())
+        # P (x) conj(P) maps vec(U_k) to vec(P U_k P^dagger) = +-vec(U_k); X and
+        # Z on either qubit generate all P, and are real.
+        paulis = [kron(PAULI[a], PAULI[b]) for a, b in ((1, 0), (3, 0), (0, 1), (0, 3))]
+        symmetry = tuple((p, p) for p in paulis)
+        return uniform_pure_ensemble(BipartiteSpace(4, 4), ydy_kets(), symmetry)
     if name == "domino":
         return uniform_pure_ensemble(BipartiteSpace(3, 3), domino_kets())
     if name == "tiles":
@@ -300,9 +336,13 @@ def resource_frame_to_xy(op: np.ndarray) -> np.ndarray:
 def extend_ensemble(e: Ensemble, epsilon: float) -> Ensemble:
     """Tensor each state of a 2 (x) 2 ensemble with the resource tau(eps) and
     reorder so the bipartition is (X1 X2) : (Y1 Y2) on C^4 (x) C^4, keeping
-    the prior."""
+    the prior. The symmetry is the ensemble's, acting on X1 Y1, plus
+    ``RESOURCE_SYMMETRY`` on X2 Y2."""
     if (e.space.dim_x, e.space.dim_y) != (2, 2):
         raise DimensionMismatchError("resource extension assumes a 2 (x) 2 ensemble")
     res = projector(tau(epsilon))
     states = tuple(resource_frame_to_xy(kron(s, res)) for s in e.states)
-    return Ensemble(BipartiteSpace(4, 4), states, e.probs)
+    one = PAULI[0]
+    symmetry = [(kron(ux, one), kron(uy, one)) for ux, uy in e.symmetry]
+    symmetry += [(kron(one, ux), kron(one, uy)) for ux, uy in RESOURCE_SYMMETRY]
+    return Ensemble(BipartiteSpace(4, 4), states, e.probs, tuple(symmetry))

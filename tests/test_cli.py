@@ -84,6 +84,37 @@ def test_discriminate_prior(tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_discriminate_prior_keeps_the_symmetry(tmp_path, monkeypatch):
+    # Every symmetry element fixes every state, so the reduced program holds
+    # for any prior: bell4's PPT program has 20 rows in its symmetry blocks
+    # and 80 over full matrices, and both give the same value.
+    from sepdisc import conesolve
+    from sepdisc.discrimination import optimal_ppt
+    from sepdisc.states import Ensemble
+
+    solve, rows = conesolve.solve_sdp, []
+
+    def recording(problem):
+        rows.append(problem.rows.shape[0])
+        return solve(problem)
+
+    monkeypatch.setattr(conesolve, "solve_sdp", recording)
+    prior = np.array([0.4, 0.3, 0.2, 0.1])
+    argv = ["discriminate", "bell4", "--class", "ppt", "--prior", "0.4,0.3,0.2,0.1"]
+    code, report = run(tmp_path, *argv)
+    assert code == EXIT_OK
+    full = optimal_ppt(Ensemble(catalog("bell4").space, catalog("bell4").states, prior))
+    assert rows == [20, 80]
+    assert abs(report["outputs"]["value"] - full.value) <= 1e-9
+
+
+def test_ensemble_files_carry_no_symmetry(tmp_path):
+    path = tmp_path / "ensemble.json"
+    save_ensemble(str(path), catalog("bell4"))
+    assert "symmetry" not in json.loads(path.read_text())
+    assert load_ensemble(str(path)).symmetry == ()
+
+
 @pytest.mark.parametrize(
     "prior, message",
     [

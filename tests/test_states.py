@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepdisc.linalg import BipartiteSpace, kron
+from sepdisc.linalg import PAULI, BipartiteSpace, kron
 from sepdisc.states import (
     Ensemble,
     ProductVector,
@@ -144,6 +144,40 @@ def test_ensemble_validation():
     skew[0, 3] += 1e-11
     with pytest.raises(ValueError, match="must be Hermitian"):
         Ensemble(space, (skew,), np.array([1.0]))
+
+
+def test_ensemble_symmetry_check_names_the_defect():
+    space = BipartiteSpace(2, 2)
+    states = (projector(bell(1)), projector(bell(3)))
+    probs = np.array([0.5, 0.5])
+    x, z = PAULI[1], PAULI[3]
+    hadamard = (x + z) / np.sqrt(2.0)
+    cases = [
+        (((2 * x, x),), "symmetry element 0 is not unitary"),
+        (((x, x), (z, np.eye(2))), "symmetry element 1 moves state 0"),
+        (((x, np.eye(4)),), r"symmetry element 0 has shapes \(2, 2\) and \(4, 4\)$"),
+    ]
+    for symmetry, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Ensemble(space, states, probs, symmetry)
+    # U (x) conj(U) fixes the first Bell state for every U, but the
+    # conjugations by x (x) x and H (x) H do not commute.
+    with pytest.raises(ValueError, match="symmetry element 1 does not commute with element 0"):
+        Ensemble(space, states[:1], np.array([1.0]), ((x, x), (hadamard, hadamard)))
+    kept = Ensemble(space, states, probs, ((x, x), (z, z)))
+    assert all(u.dtype == complex for pair in kept.symmetry for u in pair)
+
+
+def test_catalog_symmetries_fix_their_states():
+    # Ensemble verifies each element; here only which families carry one.
+    counts = {name: len(catalog(name).symmetry) for name in ("bell3", "bell4", "ydy")}
+    assert counts == {"bell3": 2, "bell4": 2, "ydy": 4}
+    assert catalog("domino").symmetry == catalog("tiles_psi").symmetry == ()
+    ext = extend_ensemble(catalog("bell4"), 0.3)
+    assert len(ext.symmetry) == 4
+    # The lifted Bell elements act on X1 Y1, the resource ones on X2 Y2.
+    assert np.array_equal(ext.symmetry[0][0], kron(PAULI[1], np.eye(2)))
+    assert np.array_equal(ext.symmetry[3][1], kron(np.eye(2), np.diag([1.0, -1j])))
 
 
 def test_resource_frame_is_the_middle_qubit_swap(rng):
