@@ -261,13 +261,12 @@ def test_reduced_program_matches_full_program(ppt, name):
             assert np.abs(s + partial_transpose(s_pt, dx, dy) - (h - p * rho)).max() <= 1e-8
     if ppt and eps is not None:
         # With the resource, both PPT solves end on a numerically singular
-        # Schur matrix (condition about 1e16 at the last iterates), so where
-        # each stops is decided by roundoff: bell3 x tau(0.6) takes 12
-        # iterations in blocks and 14 over full matrices on one OpenBLAS
-        # thread, 12 and 12 on two, and the gaps and the measurement of that
-        # optimal face differ by up to 20% and 1e-3. Multiplying M by
-        # 1 + N(0, 1e-15) noise stalls 1 in 6 bell4 x tau(0.6) solves in
-        # either form. So only what holds for any roundoff is checked here.
+        # Schur matrix (condition above 1e16 at the last iterates), so where
+        # each stops is decided by roundoff. Over full matrices bell3 x
+        # tau(0.6) takes 14 iterations on one OpenBLAS thread and 12 on two;
+        # in blocks it takes 12 on both, and its gap and measurement differ
+        # from the full solve's by up to 19% and 9e-4. So only what holds
+        # for any roundoff is checked for these programs.
         return
     assert rs.iterations == fs.iterations
     assert abs(_relative_gap(rs) - _relative_gap(fs)) <= 0.01 * _relative_gap(fs)
