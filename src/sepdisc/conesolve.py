@@ -38,13 +38,13 @@ manner of Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997). The Hermitian
 basis matrix T has at most two nonzeros per column, so each block's
 W_b = Re T^H (X_b kron Z_b^-T) T is formed by gathers in O(d^4), not by dense
 products in O(d^6), and added at flat indices of M stored once per solve; a
-block that no row touches is skipped. M lives in one column-major buffer,
-the layout LAPACK works in, and the temporaries in one workspace per block
-and term size, so assembly allocates nothing per iteration. On a 2-vCPU
-host that took a d = 16 block term from 3.1 to 1.3 ms and the m = 1280
-solve from 43.7 to 34.9 ms, with every floating-point operation unchanged.
+block that no row touches is skipped. The gathers work on a slice of a
+run's consecutive blocks at a time, on a leading stack axis, as many as fit
+``SCHUR_SLICE_BYTES`` of temporaries: a whole run of 1- or 2-dimensional
+blocks, one 16-dimensional block. M lives in one column-major buffer, the
+layout LAPACK works in, and the temporaries in one workspace per slice shape.
 
-Everything else works on stacks: X, Z, Z^-1, the residuals and the
+Everything else works on stacks too: X, Z, Z^-1, the residuals and the
 directions are one (k, d, d) array per run of k consecutive d-dimensional
 blocks (every LP program, and every PPT and global program over full
 matrices, is one run; one in symmetry blocks, sorted by size, is one run per
@@ -53,15 +53,14 @@ the coordinate maps, inner products, HKM products and step length are one
 numpy gufunc call per run. A batched gufunc runs the same LAPACK or BLAS
 routine on each matrix, and per-block inner products are added by the
 builtin ``sum`` in block order, so the iterates equal those of a per-block
-loop to the bit. The Schur terms stay per block: stacked, the temporaries
-of a bell4 PPT run (eight 16-dim blocks, 512 x 512 terms) would take 45 MB.
+loop to the bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -85,6 +84,9 @@ WEAK_DUALITY_SLACK = 10.0
 MAX_ITERATIONS = 200
 BOUNDARY_FRACTION = 0.98
 STALL_WINDOW = 3
+# Bytes of Schur-term temporaries one slice of a run's blocks may take. At
+# 4 MiB, runs of 9-dimensional blocks fall out of cache and assemble slower.
+SCHUR_SLICE_BYTES = 2**20
 # Both step lengths below STEP_COLLAPSE_TOL end the iteration (step-collapse).
 STEP_COLLAPSE_TOL = 1e-10
 # Relative ridge added to a Schur matrix that is singular after iterate 0.
@@ -279,114 +281,135 @@ def _positive_definite(stacks) -> bool:
         return False
 
 
-def _schur_work(d: int) -> tuple:
-    """Index data and buffers of :func:`_schur_block` for d-dimensional
-    blocks. The three complex d^2 x d^2 buffers take 1 MB each at d = 16."""
+def _schur_slices(c_rows: np.ndarray, runs) -> list[tuple]:
+    """The gathers of the Schur terms, built once per solve. Per slice of
+    consecutive blocks of a run, as many as fit ``SCHUR_SLICE_BYTES`` of
+    temporaries (at least one): (run, the blocks as a slice of the run, k
+    column gathers into W, k row gathers into C W^T, k values, the flat index
+    of every term entry). A block that no row touches is left out.
+
+    Block b's t touched rows tb carry at most k nonzeros each; a slice pads
+    its blocks to its largest t and k with value 0, whose products are +-0
+    and leave M unchanged.
+    Entry (l, i) of b's transposed t x t term goes to m_flat[tb[l] * m +
+    tb[i]], which is M[tb[i], tb[l]] of the column-major M =
+    m_flat[:m * m].reshape(m, m).T; padding goes to the sink m_flat[m * m].
+    """
+    m = c_rows.shape[0]
+    idx_type = np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
+    out, start = [], 0
+    for r, (d, k) in enumerate(runs):
+        n = d * d
+        run_rows = c_rows[:, start : start + k * n].reshape(m, k, n)
+        start += k * n
+        nz = np.ascontiguousarray((run_rows != 0.0).transpose(1, 0, 2))
+        counts = np.count_nonzero(nz, axis=2)  # nonzeros per block and row
+        t_blocks = (counts > 0).sum(axis=1)
+        touched = np.flatnonzero(t_blocks)
+        if touched.size == 0:
+            continue
+        t = int(t_blocks.max())
+        # Complex X kron Z^-T columns, their row gathers and W: 56 n^2 bytes.
+        step = max(1, SCHUR_SLICE_BYTES // (56 * n * n + 8 * n * t + 8 * t * t))
+        bounds = [
+            (lo, min(lo + step, int(group[-1]) + 1))
+            for group in np.split(touched, np.flatnonzero(np.diff(touched) > 1) + 1)
+            for lo in range(int(group[0]), int(group[-1]) + 1, step)
+        ]
+        for lo, hi in bounds:
+            cnt = counts[lo:hi]
+            s, t, kk = hi - lo, int(t_blocks[lo:hi].max()), int(cnt.max())
+            slot = np.cumsum(cnt > 0, axis=1) - 1  # a touched row's place in tb
+            tb = np.full((s, t), -1)
+            b_r, r_r = np.nonzero(cnt)
+            tb[b_r, slot[b_r, r_r]] = r_r
+            # Block by block, row by row: pos is a nonzero's place in its row.
+            b_i, r_i, c_i = np.unravel_index(np.flatnonzero(nz[lo:hi]), (s, m, n))
+            pos = np.arange(b_i.size) - (np.cumsum(cnt) - cnt.reshape(-1))[b_i * m + r_i]
+            col = np.zeros((s, t, kk), dtype=np.intp)
+            val = np.zeros((s, t, kk))
+            col[b_i, slot[b_i, r_i], pos] = c_i
+            val[b_i, slot[b_i, r_i], pos] = run_rows[r_i, lo + b_i, c_i]
+            dest = tb[:, :, None] * m + tb[:, None, :]
+            dest[(tb[:, :, None] < 0) | (tb[:, None, :] < 0)] = m * m
+            b = np.arange(s)[:, None, None]
+            out.append((
+                r, slice(lo, hi),
+                (b * n + col).reshape(s * t, kk).T.copy(),
+                (col * s + b).reshape(s * t, kk).T.copy(),
+                val.reshape(s * t, kk).T.copy(),
+                dest.reshape(-1).astype(idx_type),
+            ))
+    return out
+
+
+def _schur_work(d: int, s: int) -> tuple:
+    """Index data and buffers up to W for a slice of s d-dimensional blocks."""
     i1, i2, v1, v2 = hermitian_basis_support(d)
     n = d * d
     # (c, e, v) per nonzero of T's columns: row i of T is entry (c, e) of E.
     cols = tuple((*np.divmod(i, d), v) for i, v in ((i1, v1), (i2, v2)))
     rows = ((i1, v1.conj()[:, None]), (i2, v2.conj()[:, None]))
-    vecs = tuple(np.empty((d, n), dtype=complex) for _ in range(2))
-    mats = tuple(np.empty((n, n), dtype=complex) for _ in range(3))
-    return cols, rows, vecs, mats, np.empty((n, n))
+    vecs = tuple(np.empty((s, d, n), dtype=complex) for _ in range(2))
+    mats = tuple(np.empty((s, n, n), dtype=complex) for _ in range(3))
+    return cols, rows, vecs, mats, np.empty((n, s, n))
 
 
-def _schur_block(xb: np.ndarray, zinv: np.ndarray, work: dict) -> np.ndarray:
-    """W = Re T^H (X kron Z^-T) T, the real-basis matrix of E -> X E Z^-1.
-
-    T = hermitian_basis_matrix(d) has at most two nonzeros per column, so
-    only the columns i1, i2 of X kron Z^-T are formed (by broadcasting), and
-    the product with T^H is a gather of two rows:
+def _add_schur_terms(m_flat, x_stacks, zinv_stacks, slices, work: dict) -> None:
+    """Adds C_b W_b C_b^T, for every block b that rows C_b touch, into the
+    Schur matrix M = m_flat[:m * m].reshape(m, m).T, stored column-major.
+    Per slice of blocks, on a leading stack axis,
 
         kt = 0.0 + X[:, c1] kron (Z^-T[:, e1] v1) + X[:, c2] kron (Z^-T[:, e2] v2)
         w = (conj(v1) kt[i1] + conj(v2) kt[i2]).real,   W = (w + w^T) / 2
 
-    Every temporary and the result live in ``work[d]``, made on first use and
-    shared by every block of dimension d. The result is a view that the
-    caller consumes before the next call for that d. The operations and their
-    order are those of the formula, signed zeros included, so W does not
-    depend on the buffering to the bit. ``np.take`` runs with mode="clip"
+    is W = Re T^H (X kron Z^-T) T, the real-basis matrix of E -> X E Z^-1,
+    since T = hermitian_basis_matrix(d) has at most two nonzeros per column.
+    W is symmetric to the bit, so the transposes (C_b W)^T and (C_b W C_b^T)^T
+    come from gathers that make the same products and sums, in the same
+    order, as the untransposed ones. Every operation is elementwise and one
+    np.add.at per slice adds the terms in block order, so M equals that of a
+    loop over the blocks to the bit. The buffers live in ``work[d, s]`` up to
+    W and in ``work[d * d, s, t]`` after it; ``np.take`` runs with mode="clip"
     (the indices are in range) because its default mode copies ``out``.
     """
-    d = xb.shape[0]
-    if d not in work:
-        work[d] = _schur_work(d)
-    cols, rows, (xc, ze), (kt, prod, g), w = work[d]
-    zt = zinv.T
-    for (c, e, v), out in zip(cols, (kt, prod)):
-        # Column (c, e) of X kron Z^-T is X[:, c] kron Z^-T[:, e].
-        np.take(xb, c, axis=1, out=xc, mode="clip")
-        np.take(zt, e, axis=1, out=ze, mode="clip")
-        np.multiply(ze, v, out=ze)
-        np.multiply(xc[:, None], ze[None], out=out.reshape(d, d, d * d))
-    kt += 0.0  # the formula's 0.0 + ...: turns -0.0 into +0.0
-    kt += prod
-    for (i, vc), out in zip(rows, (g, prod)):
-        np.take(kt, i, axis=0, out=out, mode="clip")
-        np.multiply(vc, out, out=out)
-    g += prod
-    np.add(g.real, g.real.T, out=w)
-    w /= 2.0
-    return w
-
-
-def _block_gathers(c_rows: np.ndarray, slices) -> list:
-    """Per block, the rows that touch it as padded (column, value) arrays of
-    shape (t, k), k the most nonzeros of a row in the block, plus the flat
-    indices of their t x t pairs in the Schur matrix; None for a block that
-    no row touches. The flat indices are those of the transposed t x t term
-    in the column-major M = m_flat.reshape(m, m).T: entry (l, i) goes to
-    m_flat[tb[l] * m + tb[i]], which is M[tb[i], tb[l]].
-    """
-    m = c_rows.shape[0]
-    idx_type = np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
-    out = []
-    for sl in slices:
-        nz = c_rows[:, sl] != 0.0
-        counts = nz.sum(axis=1)
-        tb = np.flatnonzero(counts)
-        if tb.size == 0:
-            out.append(None)
-            continue
-        r_loc, c_loc = np.nonzero(nz[tb])
-        counts = counts[tb]
-        # np.nonzero walks row by row, so this is each entry's slot in its row.
-        pos = np.arange(r_loc.size) - (np.cumsum(counts) - counts)[r_loc]
-        col = np.zeros((tb.size, int(counts.max())), dtype=np.intp)
-        val = np.zeros(col.shape)
-        col[r_loc, pos] = c_loc
-        val[r_loc, pos] = c_rows[tb[r_loc], sl.start + c_loc]
-        tb = tb.astype(idx_type)
-        out.append((col, val, (tb[:, None] * m + tb[None, :]).reshape(-1)))
-    return out
-
-
-def _add_schur_term(m_flat, w, col, val, dest, work: dict) -> None:
-    """Adds C_b W C_b^T, for the block's touched rows C_b, into the Schur
-    matrix M = m_flat.reshape(m, m).T, which is stored column-major.
-
-    W is symmetric to the bit, so the transposes (C_b W)^T and
-    (C_b W C_b^T)^T come from column and row gathers that make the same
-    products and sums, in the same order, as the untransposed ones, and the
-    scatter of the transposed term walks m_flat forward. Both live in
-    ``work[(n, t)]``, shared by every block with n coordinates and t touched
-    rows.
-    """
-    n, t = w.shape[0], col.shape[0]
-    if (n, t) not in work:
-        work[n, t] = (np.empty((n, t)), np.empty((t, t)))
-    cw_t, term_t = work[n, t]
-    np.take(w, col[:, 0], axis=1, out=cw_t, mode="clip")
-    np.multiply(val[:, 0], cw_t, out=cw_t)
-    for p in range(1, col.shape[1]):
-        cw_t += val[:, p] * w.take(col[:, p], axis=1)
-    np.take(cw_t, col[:, 0], axis=0, out=term_t, mode="clip")
-    np.multiply(val[:, 0, None], term_t, out=term_t)
-    for p in range(1, col.shape[1]):
-        term_t += val[:, p, None] * cw_t[col[:, p]]
-    # dest has no repeats, so this equals m_flat[dest] += term_t, only faster.
-    np.add.at(m_flat, dest, term_t.reshape(-1))
+    for r, blocks, col_at, row_at, vals, dest in slices:
+        s, d, t = blocks.stop - blocks.start, x_stacks[r].shape[-1], dest.size // vals.shape[1]
+        n = d * d
+        if (d, s) not in work:
+            work[d, s] = _schur_work(d, s)
+        if (n, s, t) not in work:
+            work[n, s, t] = (np.empty((n, s * t)), np.empty((s * t, t)))
+        cols, rows, (xc, ze), (kt, prod, g), w = work[d, s]
+        cw_t, term_t = work[n, s, t]
+        xs = x_stacks[r][blocks]
+        zt = zinv_stacks[r][blocks].swapaxes(1, 2)
+        for (c, e, v), out in zip(cols, (kt, prod)):
+            # Column (c, e) of X kron Z^-T is X[:, c] kron Z^-T[:, e].
+            np.take(xs, c, axis=2, out=xc, mode="clip")
+            np.take(zt, e, axis=2, out=ze, mode="clip")
+            np.multiply(ze, v, out=ze)
+            np.multiply(xc[:, :, None], ze[:, None], out=out.reshape(s, d, d, n))
+        kt += 0.0  # the formula's 0.0 + ...: turns -0.0 into +0.0
+        kt += prod
+        for (i, vc), out in zip(rows, (g, prod)):
+            np.take(kt, i, axis=1, out=out, mode="clip")
+            np.multiply(vc, out, out=out)
+        g += prod
+        # W[b] is w[:, b], so that one column gather serves the whole slice.
+        np.add(g.real, g.real.swapaxes(1, 2), out=w.swapaxes(0, 1))
+        w /= 2.0
+        w = w.reshape(n, s * n)
+        np.take(w, col_at[0], axis=1, out=cw_t, mode="clip")
+        np.multiply(vals[0], cw_t, out=cw_t)
+        for p in range(1, vals.shape[0]):
+            cw_t += vals[p] * w.take(col_at[p], axis=1)
+        cw_rows = cw_t.reshape(n * s, t)
+        np.take(cw_rows, row_at[0], axis=0, out=term_t, mode="clip")
+        np.multiply(vals[0, :, None], term_t, out=term_t)
+        for p in range(1, vals.shape[0]):
+            term_t += vals[p, :, None] * cw_rows[row_at[p]]
+        np.add.at(m_flat, dest, term_t.reshape(-1))
 
 
 def _max_step(stacks, dstacks) -> float:
@@ -481,13 +504,12 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     c_rows, b = problem.rows, problem.rhs
     a_stacks = _stack(problem.objective, runs)
     a_coords = _coords(a_stacks)
-    ends = np.cumsum([d * d for d in dims]).tolist()
-    gathers = _block_gathers(c_rows, [slice(e - d * d, e) for d, e in zip(dims, ends)])
+    slices = _schur_slices(c_rows, runs)
     # Reused by every iteration: the Schur matrix, stored column-major so that
     # np.linalg.solve gets the F-contiguous m_mat and need not copy it
-    # strided, and the assembly buffers, per block and term size.
-    m_flat = np.empty(b.size * b.size)
-    m_mat = m_flat.reshape(b.size, b.size).T
+    # strided, plus a sink entry for padding, and the assembly buffers.
+    m_flat = np.empty(b.size * b.size + 1)
+    m_mat = m_flat[:-1].reshape(b.size, b.size).T
     work: dict = {}
 
     x_stacks, y, z_stacks = _verified_starts(problem, c_rows, b, runs, a_coords)
@@ -537,9 +559,7 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
                 zinv_stacks.append(linv.conj().swapaxes(-1, -2) @ linv)
 
             m_flat.fill(0.0)
-            for xb, zinv, g in zip(chain(*x_stacks), chain(*zinv_stacks), gathers):
-                if g is not None:
-                    _add_schur_term(m_flat, _schur_block(xb, zinv, work), *g, work)
+            _add_schur_terms(m_flat, x_stacks, zinv_stacks, slices, work)
 
             c_zinv = c_rows @ _coords(zinv_stacks)
             x_rd_zinv = [x @ rd @ zi for x, rd, zi in zip(x_stacks, rd_stacks, zinv_stacks)]

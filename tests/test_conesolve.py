@@ -1,5 +1,6 @@
 import importlib
 import inspect
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from sepdisc.conesolve import (
     BOUNDARY_FRACTION,
     ConvergenceError,
     DualCertificate,
-    _add_schur_term,
-    _block_gathers,
+    _add_schur_terms,
     _max_step,
-    _schur_block,
+    _schur_slices,
     IllPosedProblemError,
     SDPProblem,
     format_iterate_log,
@@ -24,8 +24,14 @@ from sepdisc.conesolve import (
     weak_duality_ok,
 )
 from sepdisc.discrimination import optimal_global, optimal_ppt
-from sepdisc.linalg import coords_to_herm, herm_to_coords, hermitian_basis_matrix
+from sepdisc.linalg import (
+    coords_to_herm,
+    herm_to_coords,
+    hermitian_basis_matrix,
+    hermitian_basis_support,
+)
 from sepdisc.states import catalog, extend_ensemble
+from sepdisc.ups import separable_perfect_discrimination
 
 
 def forced_point_problem():
@@ -174,65 +180,242 @@ def _dense_schur_block(x, zinv):
     return (t.conj().T @ np.kron(x, zinv.T) @ t).real
 
 
+# The per-block Schur assembly that the run-level one replaced, kept as a
+# bitwise oracle: the same formula, one block and one np.add.at at a time.
+
+
+def _oracle_gathers(c_rows, dims):
+    m = c_rows.shape[0]
+    ends = np.cumsum([d * d for d in dims]).tolist()
+    out = []
+    for d, e in zip(dims, ends):
+        nz = c_rows[:, e - d * d : e] != 0.0
+        counts = nz.sum(axis=1)
+        tb = np.flatnonzero(counts)
+        if tb.size == 0:
+            out.append(None)
+            continue
+        r_loc, c_loc = np.nonzero(nz[tb])
+        counts = counts[tb]
+        pos = np.arange(r_loc.size) - (np.cumsum(counts) - counts)[r_loc]
+        col = np.zeros((tb.size, int(counts.max())), dtype=np.intp)
+        val = np.zeros(col.shape)
+        col[r_loc, pos] = c_loc
+        val[r_loc, pos] = c_rows[tb[r_loc], e - d * d + c_loc]
+        out.append((col, val, (tb[:, None] * m + tb[None, :]).reshape(-1)))
+    return out
+
+
+def _oracle_block(xb, zinv):
+    d = xb.shape[0]
+    i1, i2, v1, v2 = hermitian_basis_support(d)
+    zt = zinv.T
+    parts = []
+    for i, v in ((i1, v1), (i2, v2)):
+        c, e = np.divmod(i, d)
+        parts.append((xb[:, c][:, None] * (zt[:, e] * v)[None]).reshape(d * d, d * d))
+    kt = parts[0]
+    kt += 0.0
+    kt += parts[1]
+    g = v1.conj()[:, None] * kt[i1]
+    g += v2.conj()[:, None] * kt[i2]
+    w = g.real + g.real.T
+    w /= 2.0
+    return w
+
+
+def _oracle_add_term(m_flat, w, col, val, dest):
+    cw_t = val[:, 0] * w[:, col[:, 0]]
+    for p in range(1, col.shape[1]):
+        cw_t += val[:, p] * w[:, col[:, p]]
+    term_t = val[:, 0, None] * cw_t[col[:, 0]]
+    for p in range(1, col.shape[1]):
+        term_t += val[:, p, None] * cw_t[col[:, p]]
+    np.add.at(m_flat, dest, term_t.reshape(-1))
+
+
+def _oracle_add_schur_terms(m_flat, x_stacks, zinv_stacks, gathers, work):
+    for xb, zinv, g in zip(chain(*x_stacks), chain(*zinv_stacks), gathers):
+        if g is not None:
+            _oracle_add_term(m_flat, _oracle_block(xb, zinv), *g)
+
+
+def _use_oracle(monkeypatch):
+    """Makes solve_sdp assemble its Schur matrices with the oracle."""
+    monkeypatch.setattr(
+        conesolve, "_schur_slices",
+        lambda c_rows, runs: _oracle_gathers(c_rows, [d for d, k in runs for _ in range(k)]),
+    )
+    monkeypatch.setattr(conesolve, "_add_schur_terms", _oracle_add_schur_terms)
+
+
+def _schur_pair(rng, dims, c_rows, work=None):
+    """M from the run-level assembly and from the oracle, on random X and
+    Z^-1 blocks, as m x m arrays in the layout solve_sdp gives LAPACK."""
+    runs = conesolve._runs(dims)
+    blocks = [(_random_psd(rng, d), _random_psd(rng, d)) for d in dims]
+    x_stacks = conesolve._stack([x for x, _ in blocks], runs)
+    zinv_stacks = conesolve._stack([z for _, z in blocks], runs)
+    m = c_rows.shape[0]
+    got, want = np.zeros(m * m + 1), np.zeros(m * m)
+    slices = _schur_slices(c_rows, runs)
+    _add_schur_terms(got, x_stacks, zinv_stacks, slices, {} if work is None else work)
+    _oracle_add_schur_terms(want, x_stacks, zinv_stacks, _oracle_gathers(c_rows, dims), None)
+    dense = sum(
+        c_rows[:, sl] @ _dense_schur_block(x, z) @ c_rows[:, sl].T
+        for (x, z), sl in zip(blocks, _block_slices(dims))
+    )
+    assert np.abs(got[:-1] - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+    assert np.abs(want.reshape(m, m).T - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
+    return got[:-1].reshape(m, m).T, want.reshape(m, m).T, slices
+
+
+def _block_slices(dims):
+    ends = np.cumsum([d * d for d in dims]).tolist()
+    return [slice(e - d * d, e) for d, e in zip(dims, ends)]
+
+
+def _sparse_rows(rng, dims, m, density=0.3, untouched=()):
+    """Rows with 0 to all nonzeros per row and block, -1/+1 and real entries;
+    the blocks at positions ``untouched`` get no nonzero."""
+    rows = np.zeros((m, sum(d * d for d in dims)))
+    for j, sl in enumerate(_block_slices(dims)):
+        if j in untouched:
+            continue
+        size = sl.stop - sl.start
+        mask = rng.random((m, size)) < density
+        vals = np.where(rng.random((m, size)) < 0.5, rng.choice([-1.0, 1.0], (m, size)),
+                        rng.standard_normal((m, size)))
+        rows[:, sl] = np.where(mask, vals, 0.0)
+    return rows
+
+
 def test_schur_block_matches_dense_reference(rng):
+    # With one row per coordinate of a single block, M is that block's W.
     for d in (1, 2, 3, 9, 16):
-        x, zinv = _random_psd(rng, d), _random_psd(rng, d)
-        got = _schur_block(x, zinv, {})
-        assert np.abs(got - _dense_schur_block(x, zinv)).max() <= 1e-12
+        got, want, _ = _schur_pair(rng, (d,), np.eye(d * d))
+        assert np.array_equal(got, want)
+        assert got.shape == (d * d, d * d)
 
 
 def test_schur_block_workspace_shared_across_sizes(rng):
-    # One workspace serves every block size; each result is consumed before
-    # the next call, as in the solver.
+    # One workspace serves every slice shape of every solve; each slice is
+    # consumed before the next one uses the same buffers.
     work = {}
     for d in (16, 9, 16, 1):
-        x, zinv = _random_psd(rng, d), _random_psd(rng, d)
-        got = _schur_block(x, zinv, work)
-        assert got.shape == (d * d, d * d)
-        assert np.abs(got - _dense_schur_block(x, zinv)).max() <= 1e-12
-    assert sorted(work) == [1, 9, 16]
+        dims = (d,) * 3
+        got, want, _ = _schur_pair(rng, dims, _sparse_rows(rng, dims, 20), work)
+        assert np.array_equal(got, want)
+    # Buffers up to W per (d, s), after it per (d^2, s, t).
+    assert {key[0] for key in work if len(key) == 2} == {1, 9, 16}
+    assert {key[0] for key in work if len(key) == 3} == {1, 81, 256}
 
 
 def test_schur_assembly_matches_dense_reference(rng):
-    # Rows with 1, 2 and more than 2 nonzeros per block, and -1/+1 entries.
+    # Rows with 1, 2 and more than 2 nonzeros per block, and -1/+1 entries,
+    # across runs of different sizes; then one +-1 per touched row and block.
     dims = (3, 2, 1, 4)
-    sizes = [d * d for d in dims]
-    offsets = np.cumsum([0] + sizes)
-    slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
     m = 40
-    rows = np.zeros((m, offsets[-1]))
-    for i in range(m):
-        for sl, size in zip(slices, sizes):
-            nnz = int(rng.integers(0, size + 1))
-            cols = rng.choice(size, size=nnz, replace=False)
-            rows[i, sl.start + cols] = rng.standard_normal(nnz)
-    per_row = {int(c) for sl in slices for c in np.count_nonzero(rows[:, sl], axis=1)}
+    rows = _sparse_rows(rng, dims, m)
+    per_row = {int(c) for sl in _block_slices(dims) for c in np.count_nonzero(rows[:, sl], axis=1)}
     assert {1, 2} <= per_row and max(per_row) > 2
-    single = np.zeros_like(rows)  # one +-1 per touched row and block
-    for sl, size in zip(slices, sizes):
+    single = np.zeros_like(rows)
+    for sl in _block_slices(dims):
+        size = sl.stop - sl.start
         touched = rng.random(m) < 0.6
         single[touched, sl.start + rng.integers(0, size, touched.sum())] = rng.choice(
             [-1.0, 1.0], touched.sum()
         )
-    work = {}  # shared by both row sets, as by every block of one solve
+    work = {}  # shared by both row sets, as by every slice of one solve
     for c_rows in (rows, single):
-        w_blocks = []
-        for d in dims:
-            g = rng.standard_normal((d * d, d * d))
-            w_blocks.append(g + g.T)
-        gathers = _block_gathers(c_rows, slices)
-        assert all(g is not None for g in gathers)
-        m_flat = np.zeros(m * m)
-        dense = np.zeros((m, m))
-        for w, g, sl in zip(w_blocks, gathers, slices):
-            _add_schur_term(m_flat, w, *g, work)
-            dense += c_rows[:, sl] @ w @ c_rows[:, sl].T
-        got = m_flat.reshape(m, m).T  # the destinations are column-major
-        if c_rows is rows:
-            assert np.abs(got - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
-        else:
-            assert all(g[0].shape[1] == 1 for g in gathers)
-            assert np.array_equal(got, dense)
+        got, want, _ = _schur_pair(rng, dims, c_rows, work)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, k, m", [(1, 40, 30), (2, 24, 40), (3, 6, 30), (9, 4, 60), (16, 3, 80)])
+def test_run_schur_terms_equal_per_block_oracle(rng, d, k, m):
+    dims = (d,) * k
+    got, want, slices = _schur_pair(rng, dims, _sparse_rows(rng, dims, m))
+    assert np.array_equal(got, want)
+    if d <= 2:
+        assert len(slices) == 1  # the whole run is one slice
+    if d == 16:
+        assert [s[1] for s in slices] == [slice(0, 1), slice(1, 2), slice(2, 3)]  # one per slice
+
+
+def test_run_longer_than_one_slice_equals_oracle(rng, monkeypatch):
+    # Shrinking the slice budget cuts one run of 3-dim blocks into several
+    # slices, the last one shorter; rows repeat across slices, so the sums
+    # into M cross slice boundaries.
+    monkeypatch.setattr(conesolve, "SCHUR_SLICE_BYTES", 40_000)
+    dims = (3,) * 7 + (1,) * 5
+    got, want, slices = _schur_pair(rng, dims, _sparse_rows(rng, dims, 25, density=0.5))
+    assert np.array_equal(got, want)
+    sizes = [s[1].stop - s[1].start for s in slices if s[0] == 0]
+    assert len(sizes) > 2 and sizes[-1] < sizes[0]
+
+
+def test_untouched_blocks_are_left_out(rng):
+    dims = (2,) * 6 + (3,) * 2
+    rows = _sparse_rows(rng, dims, 20, untouched=(0, 3, 5, 7))
+    got, want, slices = _schur_pair(rng, dims, rows)
+    assert np.array_equal(got, want)
+    # Slices hold consecutive blocks only, so an untouched block ends one.
+    assert [(s[0], s[1]) for s in slices] == [(0, slice(1, 3)), (0, slice(4, 5)), (1, slice(0, 1))]
+    # A run that no row touches has no slice at all.
+    rows[:, -18:] = 0.0
+    assert [s[0] for s in _schur_slices(rows, conesolve._runs(dims))] == [0, 0]
+
+
+def test_mixed_gather_shapes_in_one_run_equal_oracle(rng):
+    # Blocks touched by 1 to all rows, with 1 to all nonzeros per row: the
+    # slice pads them to one shape, and the padding goes to the sink entry.
+    dims = (2,) * 8
+    m = 30
+    rows = np.zeros((m, 32))
+    for j, sl in enumerate(_block_slices(dims)):
+        t = 1 + (j * 29) // 7
+        rows[rng.choice(m, t, replace=False), sl.start + rng.integers(0, 4, t)] = 1.0
+        if j % 2:
+            rows[:t, sl] += rng.standard_normal((t, 4))
+    gathers = _oracle_gathers(rows, dims)
+    assert len({g[0].shape for g in gathers}) > 4
+    got, want, slices = _schur_pair(rng, dims, rows)
+    assert np.array_equal(got, want)
+    [(_, _, _, _, vals, dest)] = slices
+    assert vals.shape[0] == 4 and (dest == m * m).any()
+
+
+def test_lp_shaped_run_of_1x1_blocks_equals_oracle(rng):
+    # The LP's phase-1 program: one 1x1 block per column, rows = independent
+    # coordinate rows of the columns, dense where a column is.
+    cols = [rng.standard_normal((6, 6)) for _ in range(30)]
+    coords = np.stack([herm_to_coords((c + c.T) * (rng.random((6, 6)) < 0.2)) for c in cols], axis=1)
+    rows = coords[independent_rows(coords)]
+    dims = (1,) * rows.shape[1]
+    got, want, slices = _schur_pair(rng, dims, rows)
+    assert np.array_equal(got, want)
+    assert len(slices) == 1 and slices[0][1] == slice(0, len(dims))
+
+
+def test_real_programs_bit_identical_to_per_block_assembly(monkeypatch):
+    """The reduced bell4 x tau(0.6) PPT program, the reduced ydy global
+    program and the feng separable LP: every iterate, X, y and Z equal those
+    of the per-block oracle to the byte."""
+    runs = (
+        lambda: optimal_ppt(extend_ensemble(catalog("bell4"), 0.6)).solution,
+        lambda: optimal_global(catalog("ydy")).solution,
+        lambda: separable_perfect_discrimination(catalog("feng")).lp.solution,
+    )
+    shipped = [run() for run in runs]
+    _use_oracle(monkeypatch)
+    for run, a in zip(runs, shipped):
+        b = run()
+        assert format_iterate_log(a.log) == format_iterate_log(b.log)
+        assert (a.status, a.stop_reason, a.iterations) == (b.status, b.stop_reason, b.iterations)
+        assert a.y.tobytes() == b.y.tobytes()
+        for u, v in zip(a.x_blocks + a.z_blocks, b.x_blocks + b.z_blocks, strict=True):
+            assert u.tobytes() == v.tobytes()
 
 
 def _check_first_schur_matrix(rng, monkeypatch, dims, m):
