@@ -301,7 +301,7 @@ def block_positivity_search(
     run in lockstep, and everything is deterministic given (restarts, seed).
     A restart stops after ``MAX_ALTERNATIONS`` alternations, or once one
     lowers its overlap by less than ``ALTERNATION_FTOL``.
-    Raises ValueError unless restarts >= 1 and seed >= 0.
+    Raises ValueError unless restarts >= 1, seed >= 0 and the draw fits memory.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -311,7 +311,10 @@ def block_positivity_search(
     nx, ny = space.dim_x, space.dim_y
     h4 = h.reshape(nx, ny, nx, ny)
 
-    ys = _initial_directions(ny, restarts, seed)
+    try:
+        ys = _initial_directions(ny, restarts, seed)
+    except MemoryError:
+        raise ValueError(f"restarts must fit in memory, got {restarts}") from None
     xs = np.zeros((restarts, nx), dtype=complex)
     vals = np.full(restarts, np.inf)
     iters = np.zeros(restarts, dtype=int)

@@ -48,12 +48,13 @@ Everything else works on stacks too: X, Z, Z^-1, the residuals and the
 directions are one (k, d, d) array per run of k consecutive d-dimensional
 blocks (every LP program, and every PPT and global program over full
 matrices, is one run; one in symmetry blocks, sorted by size, is one run per
-block size, two for the Bell families and ydy), and Cholesky, Z^-1,
-the coordinate maps, inner products, HKM products and step length are one
-numpy gufunc call per run. A batched gufunc runs the same LAPACK or BLAS
-routine on each matrix, and per-block inner products are added by the
-builtin ``sum`` in block order, so the iterates equal those of a per-block
-loop to the bit.
+block size, two for the Bell families and ydy), and Cholesky, Z^-1, the
+coordinate maps, inner products, HKM products and step length are one numpy
+gufunc call per run. Each iterate's X and Z are factored once, and Z^-1 and
+all four step lengths share those factors. A batched gufunc runs the same
+LAPACK or BLAS routine on each matrix, and per-block inner products are
+added by the builtin ``sum`` in block order, so the iterates equal those of
+a per-block loop to the bit.
 """
 
 from __future__ import annotations
@@ -272,13 +273,12 @@ def _hs_total(stacks_a, stacks_b) -> float:
     return sum(v for a, b in zip(stacks_a, stacks_b) for v in _hs(a, b).tolist())
 
 
-def _positive_definite(stacks) -> bool:
+def _cholesky(stacks) -> list[np.ndarray] | None:
+    """Per run, the Cholesky factors of its blocks; None unless all are positive definite."""
     try:
-        for s in stacks:
-            np.linalg.cholesky(s)
-        return True
+        return [np.linalg.cholesky(s) for s in stacks]
     except np.linalg.LinAlgError:
-        return False
+        return None
 
 
 def _schur_slices(c_rows: np.ndarray, runs) -> list[tuple]:
@@ -412,15 +412,13 @@ def _add_schur_terms(m_flat, x_stacks, zinv_stacks, slices, work: dict) -> None:
         np.add.at(m_flat, dest, term_t.reshape(-1))
 
 
-def _max_step(stacks, dstacks) -> float:
+def _max_step(factors, dstacks) -> float:
     """BOUNDARY_FRACTION times the distance to the PSD boundary along the
-    direction, capped at 1. Uses the Cholesky factors of the current blocks."""
+    direction, capped at 1, from the current blocks' Cholesky factors; 0 if None."""
+    if factors is None:
+        return 0.0
     alpha = 1.0
-    for s, ds in zip(stacks, dstacks):
-        try:
-            ell = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            return 0.0
+    for ell, ds in zip(factors, dstacks):
         w = np.linalg.solve(ell, ds)
         t = np.linalg.solve(ell, w.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
         lam = np.linalg.eigvalsh(_sym(t))[:, 0]
@@ -430,8 +428,8 @@ def _max_step(stacks, dstacks) -> float:
 
 
 def _verified_starts(problem, c_rows, b, runs, a_coords) -> tuple:
-    """The starts as (X stacks, y, Z stacks); ValueError naming the first
-    defect unless both are strictly feasible."""
+    """The starts as (X stacks, y, Z stacks, X factors, Z factors); ValueError
+    naming the first defect unless both are strictly feasible."""
     x0, y0, m = problem.primal_start, problem.dual_start, c_rows.shape[0]
     if x0 is None or y0 is None:
         raise ValueError(f"{'primal' if x0 is None else 'dual'} start is missing")
@@ -442,7 +440,7 @@ def _verified_starts(problem, c_rows, b, runs, a_coords) -> tuple:
         x_stacks = _stack([require_hermitian(x) for x in x0], runs)
     except ValueError as exc:
         raise ValueError(f"primal start is not Hermitian: {exc}") from None
-    if not _positive_definite(x_stacks):
+    if (x_chol := _cholesky(x_stacks)) is None:
         raise ValueError("primal start is not positive definite")
     resid = np.linalg.norm(c_rows @ _coords(x_stacks) - b)
     if resid > DEFAULT_FEAS_TOL * (1.0 + np.linalg.norm(b)):
@@ -451,9 +449,9 @@ def _verified_starts(problem, c_rows, b, runs, a_coords) -> tuple:
         raise ValueError(f"dual start has shape {np.shape(y0)}, not ({m},)")
     y = np.array(y0, dtype=float)
     z_stacks = _stacks(c_rows.T @ y - a_coords, runs)
-    if not _positive_definite(z_stacks):
+    if (z_chol := _cholesky(z_stacks)) is None:
         raise ValueError("dual start's slack Z is not positive definite")
-    return x_stacks, y, z_stacks
+    return x_stacks, y, z_stacks, x_chol, z_chol
 
 
 def _acceptable(record: IterateRecord, b_scale: float, a_scale: float) -> bool:
@@ -512,7 +510,7 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     m_mat = m_flat[:-1].reshape(b.size, b.size).T
     work: dict = {}
 
-    x_stacks, y, z_stacks = _verified_starts(problem, c_rows, b, runs, a_coords)
+    x_stacks, y, z_stacks, x_chol, z_chol = _verified_starts(problem, c_rows, b, runs, a_coords)
     eyes = [np.broadcast_to(np.eye(d, dtype=complex), (k, d, d)) for d, k in runs]
 
     b_scale = 1.0 + float(np.linalg.norm(b))
@@ -552,11 +550,12 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             stop_reason = STOP_STALLED
             break
 
+        if z_chol is None:
+            stop_reason = STOP_FACTORIZATION_FAILED
+            break
         try:
-            zinv_stacks = []
-            for z, eye in zip(z_stacks, eyes):
-                linv = np.linalg.solve(np.linalg.cholesky(z), eye)
-                zinv_stacks.append(linv.conj().swapaxes(-1, -2) @ linv)
+            linvs = [np.linalg.solve(ell, eye) for ell, eye in zip(z_chol, eyes)]
+            zinv_stacks = [linv.conj().swapaxes(-1, -2) @ linv for linv in linvs]
 
             m_flat.fill(0.0)
             _add_schur_terms(m_flat, x_stacks, zinv_stacks, slices, work)
@@ -596,8 +595,7 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
                 return dx, dy, dz
 
             dx_aff, _, dz_aff = newton(0.0, None)
-            ap = _max_step(x_stacks, dx_aff)
-            ad = _max_step(z_stacks, dz_aff)
+            ap, ad = _max_step(x_chol, dx_aff), _max_step(z_chol, dz_aff)
             mu_aff = _hs_total(
                 [x + ap * dx for x, dx in zip(x_stacks, dx_aff)],
                 [z + ad * dz for z, dz in zip(z_stacks, dz_aff)],
@@ -628,14 +626,14 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             stop_reason = STOP_FACTORIZATION_FAILED
             break
 
-        alpha_p = _max_step(x_stacks, dx_stacks)
-        alpha_d = _max_step(z_stacks, dz_stacks)
+        alpha_p, alpha_d = _max_step(x_chol, dx_stacks), _max_step(z_chol, dz_stacks)
         if max(alpha_p, alpha_d) < STEP_COLLAPSE_TOL:
             stop_reason = STOP_STEP_COLLAPSE
             break
         x_stacks = [_sym(x + alpha_p * dx) for x, dx in zip(x_stacks, dx_stacks)]
         y = y + alpha_d * dy
         z_stacks = [_sym(z + alpha_d * dz) for z, dz in zip(z_stacks, dz_stacks)]
+        x_chol, z_chol = _cholesky(x_stacks), _cholesky(z_stacks)
 
     # A converged or stalled iterate meets ACCEPT_*; so may one where the
     # iteration stopped for another reason, and that is accepted too.

@@ -78,7 +78,7 @@ def _symmetry_blocks(generators: list[np.ndarray], d: int) -> tuple[np.ndarray, 
     of commuting unitaries, whose commutant is the sum_i V_i B_i V_i^dagger:
     the eigenspaces of a fixed generic Hermitian combination, checked. A real
     combination gets real bases, which keep a real ensemble's program real.
-    One block is returned as the identity, which _compress and _lift skip."""
+    One block is returned as the identity: the program over full matrices."""
     eye = np.eye(d, dtype=complex)
     if not generators:
         return (eye,)
@@ -116,13 +116,11 @@ def _pivoted_basis(v: np.ndarray) -> np.ndarray:
 
 def _compress(bases, a: np.ndarray) -> list[np.ndarray]:
     """The blocks V_i^dagger A V_i of an operator, or of a stack of them."""
-    return [a] if len(bases) == 1 else [v.conj().T @ a @ v for v in bases]
+    return [v.conj().T @ a @ v for v in bases]
 
 
 def _lift(bases, blocks) -> np.ndarray:
     """The operator sum_i V_i B_i V_i^dagger with the given blocks."""
-    if len(bases) == 1:
-        return blocks[0]
     return sum(v @ b @ v.conj().T for v, b in zip(bases, blocks))
 
 
@@ -171,7 +169,7 @@ def _program(e: Ensemble, v, w=None) -> tuple[SDPProblem, list[list[int]]]:
         # the V_i-block of T_X(W_j C W_j^dagger).
         dx, dy = e.space.dim_x, e.space.dim_y
         tx = np.stack([
-            partial_transpose(c if len(w) == 1 else b @ c @ b.conj().T, dx, dy)
+            partial_transpose(b @ c @ b.conj().T, dx, dy)
             for b in w
             for c in coords_to_herm(np.eye(b.shape[1] ** 2), b.shape[1])
         ])

@@ -209,6 +209,13 @@ def test_certify_ydy_deterministic(tmp_path):
          "seed must be nonnegative, got -1"),
         (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--restarts", "0"],
          "restarts must be at least 1, got 0"),
+        # Start vectors larger than the address space: the draw fails at once,
+        # before any memory is touched.
+        (["certify", "bell3", "--epsilon", "0.6", "--restarts", "1000000000000000"],
+         "restarts must fit in memory, got 1000000000000000"),
+        (["ups", "tiles", "--action", "bound", "--lambda", "analytic",
+          "--restarts", "1000000000000000"],
+         "restarts must fit in memory, got 1000000000000000"),
     ],
 )
 def test_see_saw_flags_rejected(tmp_path, capsys, argv, message):

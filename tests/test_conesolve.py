@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 from itertools import chain
@@ -11,6 +12,7 @@ from sepdisc.conesolve import (
     ConvergenceError,
     DualCertificate,
     _add_schur_terms,
+    _cholesky,
     _max_step,
     _schur_slices,
     IllPosedProblemError,
@@ -23,7 +25,7 @@ from sepdisc.conesolve import (
     verify_farkas,
     weak_duality_ok,
 )
-from sepdisc.discrimination import optimal_global, optimal_ppt
+from sepdisc.discrimination import _bases, _program, optimal_global, optimal_ppt
 from sepdisc.linalg import (
     coords_to_herm,
     herm_to_coords,
@@ -497,12 +499,29 @@ def test_stacked_step_length_matches_per_block_reference(rng):
                 dstacks.append(np.stack(dblocks[i : i + k]))
                 i += k
             want = reference(blocks, dblocks)
-            assert _max_step(stacks, dstacks) == want
+            assert _max_step(_cholesky(stacks), dstacks) == want
             if shrink:
                 assert want < 1.0
-        # One block that is not positive definite: no step at all.
+        # One block that is not positive definite: no factors, no step at all.
         stacks[-1][-1] = -np.eye(stacks[-1].shape[-1])
-        assert _max_step(stacks, dstacks) == 0.0
+        blocks[-1] = stacks[-1][-1]
+        assert _cholesky(stacks) is None
+        assert reference(blocks, dblocks) == _max_step(_cholesky(stacks), dstacks) == 0.0
+
+
+def test_each_iterate_is_factored_once(monkeypatch):
+    # Two Cholesky calls per run check the starts; each step then factors the
+    # new X and Z once per run, and Z^-1 and the four step lengths share them.
+    e = extend_ensemble(catalog("bell4"), 0.6)
+    problem, _ = _program(e, *_bases(e, ppt=True))
+    runs = len(conesolve._runs(problem.block_dims))
+    assert runs == 2
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    sol = solve_sdp(problem)
+    assert sol.stop_reason == "converged"
+    assert len(calls) == 2 * runs * (sol.iterations + 1)
 
 
 # maximize <diag(1, 0), X> s.t. Tr X = 1 on one 2 x 2 block: value 1, with
@@ -545,15 +564,43 @@ def test_invalid_start_raises(starts, message):
         solve_sdp(SDPProblem(**_TRACE_ONE, **{**valid, **starts}))
 
 
+@pytest.mark.parametrize("block", ["X", "Z"])
+def test_iterate_that_cannot_be_factored(monkeypatch, block):
+    # _cholesky's calls: the starts' X and Z, then each step's new X and Z.
+    # After the first step, an X without factors gets a primal step of 0 and
+    # the solve goes on; a Z without factors ends it as factorization-failed.
+    calls = []
+    cholesky = conesolve._cholesky
+
+    def fail_once(stacks):
+        calls.append(len(calls))
+        return None if len(calls) == {"X": 3, "Z": 4}[block] else cholesky(stacks)
+
+    monkeypatch.setattr(conesolve, "_cholesky", fail_once)
+    valid = dict(primal_start=(np.eye(2, dtype=complex) / 2,), dual_start=np.array([2.0]))
+    sol = solve_sdp(SDPProblem(**_TRACE_ONE, **valid))
+    if block == "Z":
+        assert (sol.status, sol.stop_reason, sol.iterations) == (
+            "factorization-failed", "factorization-failed", 1)
+    else:
+        assert sol.status == "optimal" and sol.iterations > 2
+        assert sol.log[1].alpha_primal > 0.0 and sol.log[2].alpha_primal == 0.0
+        assert sol.log[2].alpha_dual > 0.0
+
+
 def test_starts_are_required_fields():
     with pytest.raises(TypeError):
         SDPProblem(**_TRACE_ONE)
 
 
 def test_no_workspace_state_leaks_between_solves():
-    first = optimal_ppt(catalog("bell4"))  # 4-dimensional blocks
-    optimal_global(extend_ensemble(catalog("bell4"), 0.6))  # 16-dimensional blocks
-    again = optimal_ppt(catalog("bell4"))
+    # The full forms, without symmetry blocks: one workspace serves the
+    # 4-dimensional blocks, then the 16-dimensional ones, then the 4 again.
+    bell4 = dataclasses.replace(catalog("bell4"), symmetry=())
+    first = optimal_ppt(bell4)  # 4-dimensional blocks
+    optimal_global(dataclasses.replace(extend_ensemble(catalog("bell4"), 0.6), symmetry=()))
+    again = optimal_ppt(bell4)
+    assert {x.shape for x in first.solution.x_blocks} == {(4, 4)}
     a, b = first.solution, again.solution
     assert a.log == b.log
     for u, v in zip(a.x_blocks + a.z_blocks + [a.y], b.x_blocks + b.z_blocks + [b.y]):
