@@ -27,8 +27,6 @@ from .linalg import (
 from .states import (
     ProductVector,
     bell,
-    catalog,
-    extend_ensemble,
     fix_phase,
     projector,
     resource_frame_to_xy,
@@ -142,14 +140,13 @@ def three_bell_resource_certificate(
     return DualCertificate(h, "sep-dual"), slacks
 
 
-def three_bell_slack_conjugations(epsilon: float) -> tuple[float, float]:
+def three_bell_slack_conjugations(slacks: list[np.ndarray]) -> tuple[float, float]:
     """Residuals of the unitary-conjugation identities relating the second and
-    third slack operators of the three-Bell certificate to the first.
+    third of the three-Bell certificate's given slack operators to the first.
 
     The conjugating single-qubit unitaries map the first Bell state onto the
     second and third while fixing the fourth; each acts on X1 and Y1 only.
     """
-    _, slacks = three_bell_resource_certificate(epsilon)
     u = np.array([[1, 0], [0, 1j]], dtype=complex)
     v = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2.0)
     eye = np.eye(2, dtype=complex)
@@ -160,11 +157,10 @@ def three_bell_slack_conjugations(epsilon: float) -> tuple[float, float]:
     return res[0], res[1]
 
 
-def three_bell_slack_map_residual(epsilon: float) -> float:
-    """Max-entry residual between the map recovered from the first slack
-    operator (via its Choi matrix) and the scaled, conjugated positive-map
-    family it must equal, checked on all matrix units."""
-    _, slacks = three_bell_resource_certificate(epsilon)
+def three_bell_slack_map_residual(slack: np.ndarray, epsilon: float) -> float:
+    """Max-entry residual between the map recovered (via its Choi matrix) from
+    ``slack``, the three-Bell certificate's first slack operator at ``epsilon``,
+    and the scaled, conjugated positive-map family it must equal, on all units."""
     t = math.sqrt((1.0 + epsilon) / (1.0 - epsilon))
     # The 1/12 absorbs the 1/4 normalization of the projectors feeding the
     # slack operator; the trace identity Tr(slack) = Tr(H) - 1/3 pins it.
@@ -175,7 +171,7 @@ def three_bell_slack_map_residual(epsilon: float) -> float:
         for k in range(4):
             e = np.zeros((4, 4), dtype=complex)
             e[j, k] = 1.0
-            got = choi_apply(slacks[0], 4, 4, e)
+            got = choi_apply(slack, 4, 4, e)
             want = scale * (sandwich @ two_qubit_positive_map(e, t) @ sandwich)
             worst = max(worst, float(np.abs(got - want).max()))
     return worst
@@ -195,14 +191,14 @@ def four_bell_resource_certificate(epsilon: float) -> DualCertificate:
     return DualCertificate(resource_frame_to_xy(h_paired), "ppt-dual")
 
 
-def four_bell_certificate_psd_margins(epsilon: float) -> list[float]:
-    """Minimum eigenvalues of the partially transposed slack operators of the
-    four-Bell certificate; all must be nonnegative up to roundoff."""
-    cert = four_bell_resource_certificate(epsilon)
-    ens = extend_ensemble(catalog("bell4"), epsilon)
+def four_bell_certificate_psd_margins(cert: DualCertificate, epsilon: float) -> list[float]:
+    """Minimum eigenvalues of the partially transposed slacks H - rho_k / 4 of
+    the given four-Bell certificate H at ``epsilon``, rho_k = bell(k) (x) tau(eps)
+    in the (X1 X2):(Y1 Y2) frame; all must be nonnegative up to roundoff."""
+    tau_op = projector(tau(epsilon))
     margins = []
-    for rho in ens.states:
-        slack = cert.matrix - rho / 4.0
+    for k in (1, 2, 3, 4):
+        slack = cert.matrix - resource_frame_to_xy(kron(projector(bell(k)), tau_op)) / 4.0
         pt = partial_transpose(slack, 4, 4)
         margins.append(float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0]))
     return margins
@@ -288,6 +284,14 @@ def _initial_directions(dim: int, restarts: int, seed: int) -> np.ndarray:
     return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
+def check_search_args(restarts: int, seed: int) -> None:
+    """ValueError unless restarts >= 1 and seed >= 0."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def block_positivity_search(
     h: np.ndarray,
     space: BipartiteSpace,
@@ -303,10 +307,7 @@ def block_positivity_search(
     lowers its overlap by less than ``ALTERNATION_FTOL``.
     Raises ValueError unless restarts >= 1, seed >= 0 and the draw fits memory.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_search_args(restarts, seed)
     h = require_hermitian(space.check_operator(h))
     nx, ny = space.dim_x, space.dim_y
     h4 = h.reshape(nx, ny, nx, ny)

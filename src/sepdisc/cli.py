@@ -28,6 +28,7 @@ from .certificates import (
     PSD_MARGIN_TOL,
     block_positivity_search,
     breuer_hall_witness,
+    check_search_args,
     four_bell_certificate_psd_margins,
     four_bell_resource_certificate,
     three_bell_resource_certificate,
@@ -270,11 +271,11 @@ def _search(h, space, args):
 
 
 def _bell3_certificate(eps: float):
-    cert, _ = three_bell_resource_certificate(eps)
+    cert, slacks = three_bell_resource_certificate(eps)
     return extend_ensemble(catalog("bell3"), eps), cert, {
         "trace_formula_residual": abs(cert.claimed_value - three_bell_value(eps)),
-        "conjugation_residuals": list(three_bell_slack_conjugations(eps)),
-        "map_link_residual": three_bell_slack_map_residual(eps),
+        "conjugation_residuals": list(three_bell_slack_conjugations(slacks)),
+        "map_link_residual": three_bell_slack_map_residual(slacks[0], eps),
     }
 
 
@@ -283,7 +284,7 @@ def _bell4_certificate(eps: float):
     cert = four_bell_resource_certificate(eps)
     return None, cert, {
         "trace_formula_residual": abs(cert.claimed_value - four_bell_value(eps)),
-        "transposed_slack_min_eigenvalues": four_bell_certificate_psd_margins(eps),
+        "transposed_slack_min_eigenvalues": four_bell_certificate_psd_margins(cert, eps),
     }
 
 
@@ -301,8 +302,8 @@ def _ydy_certificate(_):
 
 
 # name -> (takes --epsilon, builder of (ensemble, certificate, exact-identity
-# checks)). A certificate with an ensemble is scored by the see-saw searches
-# of sep_bound_from_certificate; one without by its checks alone.
+# checks on that one certificate)). A certificate with an ensemble is scored by
+# the see-saw searches of sep_bound_from_certificate; one without by its checks.
 CERTIFICATES = {
     "bell3": (True, _bell3_certificate),
     "bell4": (True, _bell4_certificate),
@@ -317,7 +318,8 @@ def cmd_certify(args) -> tuple[dict, int]:
         raise InputError(f"certify {name} requires --epsilon")
     if not takes_epsilon and args.epsilon is not None:
         raise InputError(f"certify {name} takes no --epsilon")
-    try:
+    try:  # the see-saw flags are checked for every name, searched or not
+        check_search_args(args.restarts, args.seed)
         ens, cert, checks = build(args.epsilon)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -337,12 +339,13 @@ def cmd_certify(args) -> tuple[dict, int]:
     return outputs, EXIT_REFUTED if refuted else EXIT_OK
 
 
-def _resolve_product_set(args) -> tuple[str, UPSet]:
-    name = args.family
-    if name in ("tiles", "feng"):
-        return name, catalog(name)
-    fam = load_product_set(name)
-    return name, fam
+def _resolve_product_set(name: str) -> UPSet:
+    if name in CATALOG_NAMES:
+        fam = catalog(name)
+        if not isinstance(fam, UPSet):
+            raise InputError(f"{name!r} is an ensemble; use the 'discriminate' command")
+        return fam
+    return load_product_set(name)
 
 
 def _enumerating(algorithm, name: str, ups_set: UPSet):
@@ -361,7 +364,8 @@ def cmd_ups(args) -> tuple[dict, int]:
                             ("--restarts", args.restarts), ("--seed", args.seed)):
             if value is not None:
                 raise InputError(f"ups --action {args.action} takes no {flag}")
-    name, ups_set = _resolve_product_set(args)
+    name = args.family
+    ups_set = _resolve_product_set(name)
 
     if args.action == "check":
         report = _enumerating(is_unextendable, name, ups_set)

@@ -64,8 +64,9 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     h = np.asarray(a, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    scale = 1.0 + (np.abs(h).max() if h.size else 0.0)
-    dev = np.abs(h - h.conj().T).max() if h.size else 0.0
+    with np.errstate(over="ignore"):  # entries near the float limit: an infinite deviation
+        scale = 1.0 + (np.abs(h).max() if h.size else 0.0)
+        dev = np.abs(h - h.conj().T).max() if h.size else 0.0
     if dev > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
             f"Hermiticity violation {dev:.3e} > {HERMITICITY_RTOL:.1e} * {scale:.3e}"

@@ -61,19 +61,15 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
 
 def bell(k: int) -> np.ndarray:
     """The four Bell states on C^2 (x) C^2, indexed 1..4."""
-    s = 1.0 / math.sqrt(2.0)
     table = {
-        1: {0: s, 3: s},   # (|00> + |11>)/sqrt(2)
-        2: {0: s, 3: -s},  # (|00> - |11>)/sqrt(2)
-        3: {1: s, 2: s},   # (|01> + |10>)/sqrt(2)
-        4: {1: s, 2: -s},  # (|01> - |10>)/sqrt(2)
+        1: {0: 1, 3: 1},   # (|00> + |11>)/sqrt(2)
+        2: {0: 1, 3: -1},  # (|00> - |11>)/sqrt(2)
+        3: {1: 1, 2: 1},   # (|01> + |10>)/sqrt(2)
+        4: {1: 1, 2: -1},  # (|01> - |10>)/sqrt(2)
     }
     if k not in table:
         raise ValueError(f"Bell index must be in 1..4, got {k}")
-    v = np.zeros(4, dtype=complex)
-    for i, c in table[k].items():
-        v[i] = c
-    return v
+    return ket(4, table[k])
 
 
 def tau(epsilon: float) -> np.ndarray:

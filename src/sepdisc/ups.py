@@ -49,24 +49,40 @@ def _check_cap(s: UPSet) -> None:
         )
 
 
-def is_unextendable(s: UPSet) -> UnextendabilityReport:
-    """Decide unextendability by iterating over subsets.
+def _splits(s: UPSet, members: list[int], complements: dict, reverse: bool = False):
+    """Yield (nx, ny), the complements of the X factors of the X side and of
+    the Y factors of the Y side, for each split of ``members`` where both are
+    nonzero. Bit i of a split's mask puts ``members[i]`` on the X side; masks
+    run upwards, or downwards with ``reverse``. ``complements`` is the
+    caller's table, keyed by (side, subset), shared by all its calls."""
 
-    For each split of the members, looks for a nonzero x orthogonal to the
-    X factors on one side and a nonzero y orthogonal to the Y factors on the
-    other; any such x (x) y extends the set.
-    """
-    _check_cap(s)
-    n = len(s)
-    for mask in range(2**n):
-        y_side = [s.members[j].y for j in range(n) if (mask >> j) & 1]
-        x_side = [s.members[j].x for j in range(n) if not (mask >> j) & 1]
-        ny = orthogonal_complement(y_side, s.space.dim_y)
-        if ny.shape[1] == 0:
-            continue
-        nx = orthogonal_complement(x_side, s.space.dim_x)
+    def complement(side: str, subset: tuple[int, ...]) -> np.ndarray:
+        if (side, subset) not in complements:
+            dim = s.space.dim_x if side == "x" else s.space.dim_y
+            vectors = [getattr(s.members[j], side) for j in subset]
+            complements[side, subset] = orthogonal_complement(vectors, dim)
+        return complements[side, subset]
+
+    masks = range(2 ** len(members))
+    for mask in reversed(masks) if reverse else masks:
+        nx = complement("x", tuple(j for i, j in enumerate(members) if (mask >> i) & 1))
         if nx.shape[1] == 0:
             continue
+        ny = complement("y", tuple(j for i, j in enumerate(members) if not (mask >> i) & 1))
+        if ny.shape[1] > 0:
+            yield nx, ny
+
+
+def is_unextendable(s: UPSet) -> UnextendabilityReport:
+    """Decide unextendability by the split search over all members.
+
+    Any split with a nonzero x orthogonal to the X factors on one side and a
+    nonzero y orthogonal to the Y factors on the other gives a product vector
+    x (x) y that extends the set; the witness is the first one found, with
+    the splits visited from all members on the X side down to none.
+    """
+    _check_cap(s)
+    for nx, ny in _splits(s, list(range(len(s))), {}, reverse=True):
         witness = ProductVector(fix_phase(nx[:, 0]), fix_phase(ny[:, 0]))
         return UnextendabilityReport(False, witness)
     return UnextendabilityReport(True, None)
@@ -91,39 +107,19 @@ def replacement_projections(s: UPSet) -> ReplacementSet:
     """Enumerate, for each index k, every product vector orthogonal to all
     members except the k-th.
 
-    Follows the finiteness argument: for each subset S of the other indices,
-    the X-side null space of {u_j : j in S} and the Y-side null space of
-    {v_j : j not in S} can both be nonzero only if both are one-dimensional
+    Follows the finiteness argument: the split search over the other members
+    can find both complements nonzero only if both are one-dimensional
     (anything larger would extend the set), and then the candidate is unique.
     Candidates are deduplicated under the global phase convention. A subset
-    recurs under every k outside it, so each side's null space is computed
-    once per subset and reused.
+    recurs under every k outside it, so all k share one complement table.
     """
     _check_cap(s)
     n = len(s)
-    null_spaces: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
-
-    def null_space(side: str, subset: tuple[int, ...]) -> np.ndarray:
-        key = (side, subset)
-        if key not in null_spaces:
-            dim = s.space.dim_x if side == "x" else s.space.dim_y
-            vectors = [getattr(s.members[j], side) for j in subset]
-            null_spaces[key] = orthogonal_complement(vectors, dim)
-        return null_spaces[key]
-
+    complements: dict = {}
     per_index: list[tuple[ProductVector, ...]] = []
     for k in range(n):
-        others = [j for j in range(n) if j != k]
         found: list[ProductVector] = []
-        for mask in range(2 ** len(others)):
-            x_side = tuple(j for i, j in enumerate(others) if (mask >> i) & 1)
-            y_side = tuple(j for i, j in enumerate(others) if not (mask >> i) & 1)
-            nx = null_space("x", x_side)
-            if nx.shape[1] == 0:
-                continue
-            ny = null_space("y", y_side)
-            if ny.shape[1] == 0:
-                continue
+        for nx, ny in _splits(s, [j for j in range(n) if j != k], complements):
             if nx.shape[1] > 1 or ny.shape[1] > 1:
                 raise ProductSetError(
                     "input is not unextendable: a subset leaves a degree of freedom"

@@ -127,8 +127,8 @@ def test_criterion_4_three_bell_certificates():
     for eps in (0.2, 0.6, 0.9):
         cert, slacks = three_bell_resource_certificate(eps)
         trace_err = abs(cert.claimed_value - three_bell_value(eps))
-        link = three_bell_slack_map_residual(eps)
-        conj = max(three_bell_slack_conjugations(eps))
+        link = three_bell_slack_map_residual(slacks[0], eps)
+        conj = max(three_bell_slack_conjugations(slacks))
         worst = min(
             block_positivity_search(q, space, restarts=1000, seed=DEFAULT_SEED).min_overlap
             for q in slacks

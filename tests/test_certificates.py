@@ -133,9 +133,10 @@ def test_three_bell_certificate_rejects_endpoints():
 
 @pytest.mark.parametrize("eps", [0.2, 0.6, 0.9])
 def test_three_bell_conjugation_and_map_link(eps):
-    c2, c3 = three_bell_slack_conjugations(eps)
+    _, slacks = three_bell_resource_certificate(eps)
+    c2, c3 = three_bell_slack_conjugations(slacks)
     assert c2 <= 1e-12 and c3 <= 1e-12
-    assert three_bell_slack_map_residual(eps) <= 1e-12
+    assert three_bell_slack_map_residual(slacks[0], eps) <= 1e-12
 
 
 def test_three_bell_slacks_unrefuted():
@@ -161,7 +162,8 @@ def test_four_bell_certificate_trace():
 
 @pytest.mark.parametrize("eps", [0.0, 0.4, 0.8, 1.0])
 def test_four_bell_certificate_psd(eps):
-    assert min(four_bell_certificate_psd_margins(eps)) >= -1e-10
+    cert = four_bell_resource_certificate(eps)
+    assert min(four_bell_certificate_psd_margins(cert, eps)) >= -1e-10
 
 
 @pytest.mark.parametrize("eps", [0.15, 0.5, 0.85])

@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -189,6 +190,41 @@ def test_certify_four_bell_endpoint(tmp_path):
     assert report["outputs"]["outcome"] == "unrefuted"
 
 
+def _count_calls(monkeypatch, home, name):
+    """The argument tuples of every call of ``home.name`` during the test, in
+    whichever sepdisc module the caller looks the function up."""
+    original, calls = getattr(home, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("sepdisc") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_certify_bell3_builds_its_certificate_once(tmp_path, monkeypatch):
+    from sepdisc import certificates
+
+    builds = _count_calls(monkeypatch, certificates, "three_bell_resource_certificate")
+    code, _ = run(tmp_path, "certify", "bell3", "--epsilon", "0.6")
+    assert code == EXIT_OK
+    assert builds == [(0.6,)]
+
+
+def test_certify_bell4_builds_its_certificate_once(tmp_path, monkeypatch):
+    from sepdisc import certificates, states
+
+    builds = _count_calls(monkeypatch, certificates, "four_bell_resource_certificate")
+    extensions = _count_calls(monkeypatch, states, "extend_ensemble")
+    code, _ = run(tmp_path, "certify", "bell4", "--epsilon", "0.6")
+    assert code == EXIT_OK
+    assert builds == [(0.6,)]
+    assert extensions == []
+
+
 def test_certify_ydy_deterministic(tmp_path):
     code1, rep1 = run(tmp_path, "certify", "ydy", "--restarts", "50", "--seed", "77")
     code2, rep2 = run(tmp_path, "certify", "ydy", "--restarts", "50", "--seed", "77")
@@ -216,6 +252,11 @@ def test_certify_ydy_deterministic(tmp_path):
         (["ups", "tiles", "--action", "bound", "--lambda", "analytic",
           "--restarts", "1000000000000000"],
          "restarts must fit in memory, got 1000000000000000"),
+        # bell4 runs no search, but its flags are checked all the same.
+        (["certify", "bell4", "--epsilon", "0.5", "--restarts", "0"],
+         "restarts must be at least 1, got 0"),
+        (["certify", "bell4", "--epsilon", "0.5", "--seed", "-1"],
+         "seed must be nonnegative, got -1"),
     ],
 )
 def test_see_saw_flags_rejected(tmp_path, capsys, argv, message):
@@ -519,6 +560,22 @@ def test_ups_oversized_file_rejected(tmp_path, capsys, action):
     assert code == EXIT_INPUT and report is None
     message = "subset enumeration is capped at 20 members, got 21"
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["bell3", "bell4", "ydy", "domino", "tiles_psi"])
+def test_ups_rejects_ensemble_names(tmp_path, capsys, name):
+    code, report = run(tmp_path, "ups", name)
+    assert code == EXIT_INPUT and report is None
+    message = f"{name!r} is an ensemble; use the 'discriminate' command"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["tiles", "feng"])
+def test_discriminate_rejects_product_set_names(tmp_path, capsys, name):
+    code, report = run(tmp_path, "discriminate", name)
+    assert code == EXIT_INPUT and report is None
+    message = f"{name!r} is a product set; use the 'ups' command"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_ups_measurement_failure_is_not_an_input_error(monkeypatch):

@@ -198,8 +198,13 @@ def fuzzed_files(draw):
     return argv, content
 
 
+# An imaginary part near the float limit: its Hermiticity deviation overflows.
+HUGE_IMAGINARY = _substituted(VALID_FILES["ensemble"], ("states", 1, 1, 1, 1), 8.98846567431158e307)
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(fuzzed_files())
+@example((FILE_ARGV[0][1], json.dumps(HUGE_IMAGINARY).encode()))
 def test_fuzzed_input_files_end_in_an_exit_code(fuzzed):
     # A file in any shape ends in an exit code, with exactly one line
     # naming the file on exit 2, never an exception.
