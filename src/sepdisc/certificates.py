@@ -180,11 +180,9 @@ def three_bell_slack_map_residual(slack: np.ndarray, epsilon: float) -> float:
 def four_bell_resource_certificate(epsilon: float) -> DualCertificate:
     """PPT-measurement dual certificate for discriminating all four Bell
     states assisted by tau(eps); trace (1 + sqrt(1 - eps^2))/2, eps in [0, 1]."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    tau_op = projector(tau(epsilon))  # raises for eps outside [0, 1]
     root = math.sqrt(max(0.0, 1.0 - epsilon * epsilon))
     phi4 = projector(bell(4))
-    tau_op = projector(tau(epsilon))
     phi4_pt = partial_transpose(phi4, 2, 2)
     eye4 = np.eye(4, dtype=complex)
     h_paired = (kron(eye4, tau_op) + root * kron(eye4, phi4_pt)) / 8.0

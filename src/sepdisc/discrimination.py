@@ -22,14 +22,11 @@ from .certificates import (
     block_positivity_search,
 )
 from .conesolve import ConvergenceError, DualCertificate, SDPProblem, SDPSolution
-from .linalg import coords_to_herm, herm_to_coords, kron, partial_transpose
+from .linalg import coords_to_herm, herm_to_coords, hermitian_basis_matrix, partial_transpose
 from .states import Ensemble
 
 MEASUREMENT_PSD_TOL = 1e-9
 MEASUREMENT_SUM_TOL = 1e-8
-# Eigenvalue gap, relative to the largest, that separates symmetry blocks, and
-# the tolerance of each block's check as a joint eigenspace.
-BLOCK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,47 +70,6 @@ def measurement_value(e: Ensemble, m: Measurement) -> float:
     )
 
 
-def _symmetry_blocks(generators: list[np.ndarray], d: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal bases V_i (d x n_i, sorted by size) of the joint eigenspaces
-    of commuting unitaries, whose commutant is the sum_i V_i B_i V_i^dagger:
-    the eigenspaces of a fixed generic Hermitian combination, checked. A real
-    combination gets real bases, which keep a real ensemble's program real.
-    One block is returned as the identity: the program over full matrices."""
-    eye = np.eye(d, dtype=complex)
-    if not generators:
-        return (eye,)
-    coef = np.random.default_rng(0).standard_normal((len(generators), 2))
-    h = sum(a * (g + g.conj().T) + 1j * b * (g - g.conj().T) for (a, b), g in zip(coef, generators))
-    lam, vecs = np.linalg.eigh(h if h.imag.any() else h.real)
-    cuts = np.flatnonzero(np.diff(lam) > BLOCK_TOL * (1.0 + np.abs(lam).max())) + 1
-    blocks = np.split(vecs, cuts, axis=1)
-    for v, g in ((v, g) for v in blocks for g in generators):
-        gv = g @ v
-        if np.abs(gv - np.vdot(v[:, 0], gv[:, 0]) * v).max() > BLOCK_TOL:
-            raise ValueError("the symmetry's joint eigenspaces were not separated")
-    if len(blocks) == 1:
-        return (eye,)
-    return tuple(sorted((_pivoted_basis(v) for v in blocks), key=lambda v: v.shape[1]))
-
-
-def _pivoted_basis(v: np.ndarray) -> np.ndarray:
-    """The orthonormal basis of the column space of v that Gram-Schmidt makes
-    of the columns of v (v[piv])^-1, piv the first linearly independent rows
-    of v: a function of the space, not of the rotation eigh picks within a
-    repeated eigenvalue. The end of a PPT solve can turn on that rotation:
-    with eigh's bases, bell4 x tau(0.8) broke weak duality on two threads."""
-    piv: list[int] = []
-    for r in range(v.shape[0]):
-        if len(piv) < v.shape[1] and np.linalg.matrix_rank(v[piv + [r]], BLOCK_TOL) > len(piv):
-            piv.append(r)
-    cols: list[np.ndarray] = []
-    for c in (v @ np.linalg.inv(v[piv])).T:
-        for q in cols:
-            c = c - q * np.vdot(q, c)
-        cols.append(c / np.linalg.norm(c))
-    return np.stack(cols, axis=1)
-
-
 def _compress(bases, a: np.ndarray) -> list[np.ndarray]:
     """The blocks V_i^dagger A V_i of an operator, or of a stack of them."""
     return [v.conj().T @ a @ v for v in bases]
@@ -124,27 +80,16 @@ def _lift(bases, blocks) -> np.ndarray:
     return sum(v @ b @ v.conj().T for v, b in zip(bases, blocks))
 
 
-def _bases(e: Ensemble, ppt: bool):
-    """Block bases (V, W): V for each P_k from the group G of U_X (x) U_Y, and
-    for the PPT class W for each T_X(P_k) from G' = {conj(U_X) (x) U_Y}, since
-    T_X turns conjugation by U_X (x) U_Y into conjugation by conj(U_X) (x) U_Y.
-    W is None for the global class."""
-    d = e.space.total_dim
-    v = _symmetry_blocks([kron(ux, uy) for ux, uy in e.symmetry], d)
-    if not ppt:
-        return v, None
-    return v, _symmetry_blocks([kron(ux.conj(), uy) for ux, uy in e.symmetry], d)
-
-
-def _program(e: Ensemble, v, w=None) -> tuple[SDPProblem, list[list[int]]]:
-    """The global (W None) or PPT program over P_k = sum_i V_i X_ki V_i^dagger
-    and T_X(P_k) = sum_j W_j Y_kj W_j^dagger, and per operator (P_1..P_n, then
+def _program(e: Ensemble, ppt: bool) -> tuple[SDPProblem, list[list[int]]]:
+    """The global or PPT program over P_k = sum_i V_i X_ki V_i^dagger and
+    T_X(P_k) = sum_j W_j Y_kj W_j^dagger, and per operator (P_1..P_n, then
     T_X(P_1)..T_X(P_n)) the positions of its blocks, stably sorted by size.
     Rows: sum_k X_ki = 1 per V-block i (multipliers: H's blocks), then
     W_j^dagger T_X(P_k) W_j = Y_kj. Starts: 1/n in every block, y = c 1 on the
-    identity rows and -1 on the links. Trivial bases give the program over
-    full matrices bit for bit."""
+    identity rows and -1 on the links. V and W are e.block_bases and
+    e.pt_block_bases; trivial ones give the program over full matrices bit for bit."""
     n = len(e)
+    v, w = e.block_bases, e.pt_block_bases if ppt else None
     groups = [v] * n + ([w] * n if w is not None else [])
     order = sorted(
         ((o, i) for o, g in enumerate(groups) for i in range(len(g))),
@@ -171,7 +116,7 @@ def _program(e: Ensemble, v, w=None) -> tuple[SDPProblem, list[list[int]]]:
         tx = np.stack([
             partial_transpose(b @ c @ b.conj().T, dx, dy)
             for b in w
-            for c in coords_to_herm(np.eye(b.shape[1] ** 2), b.shape[1])
+            for c in hermitian_basis_matrix(b.shape[1]).T.reshape(-1, b.shape[1], b.shape[1])
         ])
         link = np.concatenate([herm_to_coords(c) for c in _compress(v, tx)], axis=1)
         for k in range(n):
@@ -204,8 +149,8 @@ def _solve(e: Ensemble, ppt: bool) -> DiscriminationResult:
     matrices. A solve that is not optimal, or whose lifted operators fail the
     Measurement checks, raises ConvergenceError carrying the solution."""
     label = "ppt discrimination" if ppt else "global discrimination"
-    v, w = _bases(e, ppt)
-    problem, slots = _program(e, v, w)
+    v, w = e.block_bases, e.pt_block_bases if ppt else None
+    problem, slots = _program(e, ppt)
     sol = conesolve.solve_sdp(problem)
     if sol.status != conesolve.STATUS_OPTIMAL:
         raise ConvergenceError(f"{label} solve ended with status {sol.status}", sol)
@@ -251,8 +196,8 @@ def optimal_ppt(e: Ensemble) -> DiscriminationResult:
     Hermitian-basis equality rows, so the solver cone stays PSD-block
     diagonal. The dual certificate H comes with the decomposition
     H - p_k rho_k = S_k + T_X(S'_k) with S_k, S'_k PSD from the dual slacks.
-    With a symmetry, P_k and Q_k are solved in the blocks of the commutants of
-    G and G' (see _bases), and lifted; ``result.solution`` is that solve.
+    With a symmetry, P_k and Q_k are solved in the ensemble's blocks
+    (block_bases, pt_block_bases) and lifted; ``result.solution`` is that solve.
     """
     return _solve(e, ppt=True)
 

@@ -1,16 +1,17 @@
 """Constructors for the state families used throughout the package.
 
 Bell states, the partially entangled two-qubit resource, the domino / tiles /
-Feng product families and the Yu-Duan-Ying states, the ensemble and
-orthonormal-product-set containers, plus the resource extension: tensor a
-2 (x) 2 ensemble with the resource and reorder factors so that both of
-Alice's qubits form the X side of C^4 (x) C^4.
+Feng product families and the Yu-Duan-Ying states, the ensemble (which owns
+its symmetry blocks) and orthonormal-product-set containers, plus the resource
+extension: tensor a 2 (x) 2 ensemble with the resource and reorder factors so
+that both of Alice's qubits form the X side of C^4 (x) C^4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,9 @@ UNIT_TOL = 1e-12
 PHASE_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
+# Eigenvalue gap, relative to the largest, that separates symmetry blocks, and
+# the tolerance of each block's check as a joint eigenspace.
+BLOCK_TOL = 1e-8
 
 CATALOG_NAMES = ("bell3", "bell4", "ydy", "domino", "tiles", "feng", "tiles_psi")
 
@@ -150,11 +154,53 @@ class UPSet:
         return sum(m.projection for m in self.members)
 
 
+def _symmetry_blocks(generators: list[np.ndarray], d: int) -> tuple[np.ndarray, ...]:
+    """Orthonormal bases V_i (d x n_i, sorted by size) of the joint eigenspaces
+    of commuting unitaries, whose commutant is the sum_i V_i B_i V_i^dagger:
+    the eigenspaces of a fixed generic Hermitian combination, checked. A real
+    combination gets real bases, which keep a real ensemble's program real.
+    One block is returned as the identity: the program over full matrices."""
+    eye = np.eye(d, dtype=complex)
+    if not generators:
+        return (eye,)
+    coef = np.random.default_rng(0).standard_normal((len(generators), 2))
+    h = sum(a * (g + g.conj().T) + 1j * b * (g - g.conj().T) for (a, b), g in zip(coef, generators))
+    lam, vecs = np.linalg.eigh(h if h.imag.any() else h.real)
+    cuts = np.flatnonzero(np.diff(lam) > BLOCK_TOL * (1.0 + np.abs(lam).max())) + 1
+    blocks = np.split(vecs, cuts, axis=1)
+    for v, g in ((v, g) for v in blocks for g in generators):
+        gv = g @ v
+        if np.abs(gv - np.vdot(v[:, 0], gv[:, 0]) * v).max() > BLOCK_TOL:
+            raise ValueError("the symmetry's joint eigenspaces were not separated")
+    if len(blocks) == 1:
+        return (eye,)
+    return tuple(sorted((_pivoted_basis(v) for v in blocks), key=lambda v: v.shape[1]))
+
+
+def _pivoted_basis(v: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of the column space of v that Gram-Schmidt makes
+    of the columns of v (v[piv])^-1, piv the first linearly independent rows
+    of v: a function of the space, not of the rotation eigh picks within a
+    repeated eigenvalue. The end of a PPT solve can turn on that rotation:
+    with eigh's bases, bell4 x tau(0.8) broke weak duality on two threads."""
+    piv: list[int] = []
+    for r in range(v.shape[0]):
+        if len(piv) < v.shape[1] and np.linalg.matrix_rank(v[piv + [r]], BLOCK_TOL) > len(piv):
+            piv.append(r)
+    cols: list[np.ndarray] = []
+    for c in (v @ np.linalg.inv(v[piv])).T:
+        for q in cols:
+            c = c - q * np.vdot(q, c)
+        cols.append(c / np.linalg.norm(c))
+    return np.stack(cols, axis=1)
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Bipartite space, density operators and their prior probabilities, and
     local-unitary pairs (U_X, U_Y) whose products U_X (x) U_Y commute and fix
-    every state, so the discrimination programs reduce to their commutant."""
+    every state, so the discrimination programs reduce to their commutant,
+    whose blocks each Ensemble object builds on first use, once."""
 
     space: BipartiteSpace
     states: tuple[np.ndarray, ...]
@@ -203,6 +249,18 @@ class Ensemble:
             pairs.append((ux, uy))
             products.append(u)
         return tuple(pairs)
+
+    @cached_property
+    def block_bases(self) -> tuple[np.ndarray, ...]:
+        """Bases V_i of the blocks of every P_k, from G = {U_X (x) U_Y}."""
+        return _symmetry_blocks([kron(ux, uy) for ux, uy in self.symmetry], self.space.total_dim)
+
+    @cached_property
+    def pt_block_bases(self) -> tuple[np.ndarray, ...]:
+        """Bases W_j of the blocks of every T_X(P_k), from G' = {conj(U_X) (x) U_Y}:
+        T_X turns conjugation by U_X (x) U_Y into conjugation by conj(U_X) (x) U_Y."""
+        conj_products = [kron(ux.conj(), uy) for ux, uy in self.symmetry]
+        return _symmetry_blocks(conj_products, self.space.total_dim)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -265,9 +323,7 @@ def tiles_factors() -> list[tuple[np.ndarray, np.ndarray]]:
 def tiles_orthogonal_state() -> np.ndarray:
     """A pure state orthogonal to every tiles member:
     (|00> + |01> - |02> - |12>)/2."""
-    v = np.zeros(9, dtype=complex)
-    v[0], v[1], v[2], v[5] = 0.5, 0.5, -0.5, -0.5
-    return v
+    return ket(9, {0: 1, 1: 1, 2: -1, 5: -1})
 
 
 def feng_factors() -> list[tuple[np.ndarray, np.ndarray]]:

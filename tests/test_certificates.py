@@ -156,8 +156,9 @@ def test_four_bell_certificate_trace():
     for eps in (0.0, 0.33, 1.0):
         cert = four_bell_resource_certificate(eps)
         assert abs(cert.claimed_value - four_bell_value(eps)) <= 1e-12
-    with pytest.raises(ValueError):
-        four_bell_resource_certificate(1.5)
+    for bad in (1.5, float("nan")):
+        with pytest.raises(ValueError, match=rf"epsilon must lie in \[0, 1\], got {bad}$"):
+            four_bell_resource_certificate(bad)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.4, 0.8, 1.0])

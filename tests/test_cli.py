@@ -164,6 +164,12 @@ def test_certify_requires_epsilon(tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_certify_bell4_rejects_epsilon_out_of_range(tmp_path, capsys):
+    code, report = run(tmp_path, "certify", "bell4", "--epsilon", "1.5")
+    assert code == EXIT_INPUT and report is None
+    assert capsys.readouterr().err == "error: epsilon must lie in [0, 1], got 1.5\n"
+
+
 def test_certify_ydy_rejects_epsilon(tmp_path, capsys):
     # ydy has no resource parameter; the flag is rejected, not ignored.
     code, report = run(tmp_path, "certify", "ydy", "--epsilon", "0.5")

@@ -25,7 +25,7 @@ from sepdisc.conesolve import (
     verify_farkas,
     weak_duality_ok,
 )
-from sepdisc.discrimination import _bases, _program, optimal_global, optimal_ppt
+from sepdisc.discrimination import _program, optimal_global, optimal_ppt
 from sepdisc.linalg import (
     coords_to_herm,
     herm_to_coords,
@@ -513,7 +513,7 @@ def test_each_iterate_is_factored_once(monkeypatch):
     # Two Cholesky calls per run check the starts; each step then factors the
     # new X and Z once per run, and Z^-1 and the four step lengths share them.
     e = extend_ensemble(catalog("bell4"), 0.6)
-    problem, _ = _program(e, *_bases(e, ppt=True))
+    problem, _ = _program(e, ppt=True)
     runs = len(conesolve._runs(problem.block_dims))
     assert runs == 2
     calls = []

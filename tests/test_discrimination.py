@@ -6,7 +6,6 @@ import pytest
 from sepdisc.conesolve import ROW_DROP_TOL, weak_duality_ok
 from sepdisc.discrimination import (
     Measurement,
-    _bases,
     _program,
     bell_compare_measurement,
     four_bell_value,
@@ -60,9 +59,25 @@ def test_discrimination_programs_have_independent_rows(ppt, name):
     # every row, and one QR costs far less than its row-by-row pass on 1280 rows.
     e = PROGRAM_ENSEMBLES[name]()
     for form in (e, full_form(e)):
-        rows = _program(form, *_bases(form, ppt))[0].rows
+        rows = _program(form, ppt)[0].rows
         resid = np.abs(np.diag(np.linalg.qr(rows.T, mode="r")))
         assert np.all(resid >= ROW_DROP_TOL * np.maximum(1.0, np.linalg.norm(rows, axis=1)))
+
+
+def test_symmetry_blocks_are_built_once_per_ensemble(monkeypatch):
+    # The ensemble owns its bases: the first solve builds those of G, the
+    # first PPT solve those of G', and every later solve of the object reads them.
+    from sepdisc import states
+
+    calls = []
+    build = states._symmetry_blocks
+    monkeypatch.setattr(states, "_symmetry_blocks", lambda *a: calls.append(a) or build(*a))
+    e = extend_ensemble(catalog("bell4"), 0.6)
+    optimal_global(e)
+    optimal_ppt(e)
+    optimal_ppt(e)
+    assert len(calls) == 2
+    assert e.block_bases is e.block_bases and e.pt_block_bases is e.pt_block_bases
 
 
 def test_measurement_validation():

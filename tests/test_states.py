@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,18 @@ def test_ensemble_symmetry_check_names_the_defect():
         Ensemble(space, states[:1], np.array([1.0]), ((x, x), (hadamard, hadamard)))
     kept = Ensemble(space, states, probs, ((x, x), (z, z)))
     assert all(u.dtype == complex for pair in kept.symmetry for u in pair)
+
+
+def test_replaced_prior_builds_its_own_equal_bases():
+    # The CLI's --prior makes a new object, which builds its own bases; the
+    # prior does not enter them, so they equal the original's byte for byte.
+    e = extend_ensemble(catalog("bell4"), 0.6)
+    r = dataclasses.replace(e, probs=np.array([0.4, 0.3, 0.2, 0.1]))
+    for name in ("block_bases", "pt_block_bases"):
+        ours, theirs = getattr(e, name), getattr(r, name)
+        assert ours is not theirs and len(ours) == len(theirs) == 12
+        for a, b in zip(ours, theirs):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_catalog_symmetries_fix_their_states():
