@@ -91,13 +91,6 @@ def two_qubit_positive_map(m: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def choi_apply(q: np.ndarray, dim_x: int, dim_y: int, y_mat: np.ndarray) -> np.ndarray:
-    """Apply the map whose Choi operator on X (x) Y is ``q`` to ``y_mat``:
-    Lambda(|j><k|) = (1 (x) <j|) q (1 (x) |k>)."""
-    q4 = np.asarray(q, dtype=complex).reshape(dim_x, dim_y, dim_x, dim_y)
-    return np.einsum("ajbk,jk->ab", q4, np.asarray(y_mat, dtype=complex))
-
-
 def choi_matrix(apply_fn, dim_x: int, dim_y: int) -> np.ndarray:
     """Choi operator sum_jk Lambda(|j><k|) (x) |j><k| of a map L(Y) -> L(X)."""
     out = np.zeros((dim_x * dim_y, dim_x * dim_y), dtype=complex)
@@ -158,23 +151,16 @@ def three_bell_slack_conjugations(slacks: list[np.ndarray]) -> tuple[float, floa
 
 
 def three_bell_slack_map_residual(slack: np.ndarray, epsilon: float) -> float:
-    """Max-entry residual between the map recovered (via its Choi matrix) from
-    ``slack``, the three-Bell certificate's first slack operator at ``epsilon``,
-    and the scaled, conjugated positive-map family it must equal, on all units."""
+    """Max-entry residual between ``slack``, the three-Bell certificate's first
+    slack operator at ``epsilon``, and the Choi matrix of the scaled,
+    conjugated positive-map family it must equal."""
     t = math.sqrt((1.0 + epsilon) / (1.0 - epsilon))
     # The 1/12 absorbs the 1/4 normalization of the projectors feeding the
     # slack operator; the trace identity Tr(slack) = Tr(H) - 1/3 pins it.
     scale = math.sqrt(1.0 - epsilon * epsilon) / 12.0
     sandwich = kron(PAULI[3], np.eye(2, dtype=complex))
-    worst = 0.0
-    for j in range(4):
-        for k in range(4):
-            e = np.zeros((4, 4), dtype=complex)
-            e[j, k] = 1.0
-            got = choi_apply(slack, 4, 4, e)
-            want = scale * (sandwich @ two_qubit_positive_map(e, t) @ sandwich)
-            worst = max(worst, float(np.abs(got - want).max()))
-    return worst
+    choi = choi_matrix(lambda y: sandwich @ two_qubit_positive_map(y, t) @ sandwich, 4, 4)
+    return float(np.abs(slack - scale * choi).max())
 
 
 def four_bell_resource_certificate(epsilon: float) -> DualCertificate:
@@ -253,7 +239,7 @@ def ydy_certificate() -> DualCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeSearchReport:
     """Outcome of a product-vector see-saw search.
 

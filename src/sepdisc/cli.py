@@ -402,49 +402,46 @@ def cmd_ups(args) -> tuple[dict, int]:
             outputs["farkas"] = encode_matrix(report.farkas)
         return outputs, EXIT_OK
 
-    if args.action == "bound":
-        # The one action that runs a see-saw; its inputs record the defaults.
-        args.restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
-        args.seed = DEFAULT_SEED if args.seed is None else args.seed
-        if args.lam is None:
-            raise InputError("the bound action requires --lambda")
-        if args.lam == "analytic":
-            if name != "tiles":
-                raise InputError("--lambda analytic is only defined for the tiles set")
-            lam = tiles_overlap_constant()
-        else:
-            try:
-                lam = float(args.lam)
-            except ValueError as exc:
-                raise InputError(f"bad --lambda value {args.lam!r}") from exc
-        if args.z is not None:
-            z = load_vector(args.z)
-        elif name == "tiles":
-            z = tiles_orthogonal_state()
-        else:
-            raise InputError("the bound action requires --z for this input")
+    # Only "bound" is left, the one action that runs a see-saw: record its defaults.
+    args.restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
+    args.seed = DEFAULT_SEED if args.seed is None else args.seed
+    if args.lam is None:
+        raise InputError("the bound action requires --lambda")
+    if args.lam == "analytic":
+        if name != "tiles":
+            raise InputError("--lambda analytic is only defined for the tiles set")
+        lam = tiles_overlap_constant()
+    else:
         try:
-            report = ups_plus_state_bound(ups_set, z, lam)
-        except ExtraStateError as exc:  # only a --z file can fail these checks
-            raise InputError(f"{args.z}: {exc}") from exc
+            lam = float(args.lam)
         except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        n = len(ups_set)
-        slack = report.certificate.matrix - projector(z) / (n + 1)
-        search = _search(slack * (n + 1), ups_set.space, args)
-        outputs = {
-            "lambda": lam,
-            "delta": report.delta,
-            "bound": report.bound,
-            "claimed_trace": report.certificate.claimed_value,
-            "member_slack_min_eigenvalue": report.psd_margin,
-            "extra_state_search": _search_payload(search),
-        }
-        refuted = search.refuted or report.psd_margin < -PSD_MARGIN_TOL
-        outputs["outcome"] = "refuted" if refuted else "unrefuted"
-        return outputs, EXIT_REFUTED if refuted else EXIT_OK
-
-    raise InputError(f"unknown action {args.action!r}")
+            raise InputError(f"bad --lambda value {args.lam!r}") from exc
+    if args.z is not None:
+        z = load_vector(args.z)
+    elif name == "tiles":
+        z = tiles_orthogonal_state()
+    else:
+        raise InputError("the bound action requires --z for this input")
+    try:
+        report = ups_plus_state_bound(ups_set, z, lam)
+    except ExtraStateError as exc:  # only a --z file can fail these checks
+        raise InputError(f"{args.z}: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    n = len(ups_set)
+    slack = report.certificate.matrix - projector(z) / (n + 1)
+    search = _search(slack * (n + 1), ups_set.space, args)
+    outputs = {
+        "lambda": lam,
+        "delta": report.delta,
+        "bound": report.bound,
+        "claimed_trace": report.certificate.claimed_value,
+        "member_slack_min_eigenvalue": report.psd_margin,
+        "extra_state_search": _search_payload(search),
+    }
+    refuted = search.refuted or report.psd_margin < -PSD_MARGIN_TOL
+    outputs["outcome"] = "refuted" if refuted else "unrefuted"
+    return outputs, EXIT_REFUTED if refuted else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ a per-block loop to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 
 import numpy as np
@@ -137,10 +137,7 @@ class IterateRecord:
     alpha_dual: float
 
 
-_LOG_COLUMNS = (
-    "primal", "dual", "gap", "primal_residual", "dual_residual",
-    "mu", "sigma", "alpha_primal", "alpha_dual",
-)
+_LOG_COLUMNS = tuple(f.name for f in fields(IterateRecord))[1:]
 
 
 def format_iterate_log(records: list[IterateRecord]) -> str:
@@ -166,7 +163,7 @@ def weak_duality_ok(records: list[IterateRecord]) -> tuple[bool, float]:
     return worst <= 0.0, worst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificate:
     """Dual feasible operator H; Tr(H) upper-bounds the success probability
     for the measurement class named by ``cone_tag``. ``claimed_value`` is
@@ -182,7 +179,7 @@ class DualCertificate:
         object.__setattr__(self, "claimed_value", float(np.trace(h).real))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SDPProblem:
     """Block-diagonal SDP data.
 
@@ -218,7 +215,7 @@ class SDPProblem:
         object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass
+@dataclass(eq=False)
 class SDPSolution:
     x_blocks: list[np.ndarray]
     y: np.ndarray
@@ -511,7 +508,6 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     work: dict = {}
 
     x_stacks, y, z_stacks, x_chol, z_chol = _verified_starts(problem, c_rows, b, runs, a_coords)
-    eyes = [np.broadcast_to(np.eye(d, dtype=complex), (k, d, d)) for d, k in runs]
 
     b_scale = 1.0 + float(np.linalg.norm(b))
     a_scale = 1.0 + float(np.linalg.norm(a_coords))
@@ -520,7 +516,6 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     stop_reason = STOP_MAX_ITERATIONS
     # The step that produced the current iterate; none before the first.
     sig, alpha_p, alpha_d = 0.0, 0.0, 0.0
-    it = 0
 
     for it in range(MAX_ITERATIONS + 1):
         rp = b - c_rows @ _coords(x_stacks)
@@ -554,7 +549,7 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             stop_reason = STOP_FACTORIZATION_FAILED
             break
         try:
-            linvs = [np.linalg.solve(ell, eye) for ell, eye in zip(z_chol, eyes)]
+            linvs = [np.linalg.inv(ell) for ell in z_chol]
             zinv_stacks = [linv.conj().swapaxes(-1, -2) @ linv for linv in linvs]
 
             m_flat.fill(0.0)
@@ -660,7 +655,7 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class LPFeasibilityResult:
     """Exactly one of ``weights`` (nonnegative, sum_i w_i col_i = target) and
     ``farkas`` (Hermitian W with <W, col_i> >= 0 and <W, target> < 0) is set."""

@@ -29,7 +29,7 @@ MEASUREMENT_PSD_TOL = 1e-9
 MEASUREMENT_SUM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
     """POVM: positive operators summing to the identity."""
 
@@ -48,7 +48,7 @@ class Measurement:
         object.__setattr__(self, "operators", ops)
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscriminationResult:
     value: float
     measurement: Measurement
@@ -218,7 +218,7 @@ def four_bell_value(epsilon: float) -> float:
     return (1.0 + math.sqrt(1.0 - epsilon * epsilon)) / 2.0
 
 
-@dataclass
+@dataclass(eq=False)
 class SepBoundReport:
     """Certificate score: the bound Tr(H) plus, per state, the see-saw search
     outcome on H - p_k rho_k. Unrefuted iff no search found an overlap below

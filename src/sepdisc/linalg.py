@@ -152,7 +152,9 @@ def orthogonal_complement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _triu_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(d, k=1)
+    iu, ju = np.triu_indices(d, k=1)
+    iu.flags.writeable = ju.flags.writeable = False  # cached, so shared by every caller
+    return iu, ju
 
 
 def herm_to_coords(h: np.ndarray) -> np.ndarray:
@@ -190,8 +192,10 @@ def coords_to_herm(c: np.ndarray, d: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def hermitian_basis_matrix(d: int) -> np.ndarray:
     """Complex (d^2, d^2) matrix whose columns are vec(B_r) for the fixed
-    Hermitian basis, so that vec(H) = T @ herm_to_coords(H)."""
-    return coords_to_herm(np.eye(d * d), d).reshape(d * d, d * d).T
+    Hermitian basis, so that vec(H) = T @ herm_to_coords(H). Read-only."""
+    t = coords_to_herm(np.eye(d * d), d).reshape(d * d, d * d).T
+    t.flags.writeable = False
+    return t
 
 
 @lru_cache(maxsize=None)

@@ -94,7 +94,7 @@ def projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductVector:
     """Unit product vector x (x) y with the local factors kept separate."""
 
@@ -126,7 +126,7 @@ class ProductVector:
         return float(abs(np.vdot(self.x, other.x)) * abs(np.vdot(self.y, other.y)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UPSet:
     """Orthonormal product set with local factors stored separately."""
 
@@ -161,6 +161,7 @@ def _symmetry_blocks(generators: list[np.ndarray], d: int) -> tuple[np.ndarray, 
     combination gets real bases, which keep a real ensemble's program real.
     One block is returned as the identity: the program over full matrices."""
     eye = np.eye(d, dtype=complex)
+    eye.flags.writeable = False  # like every basis returned: Ensemble caches them
     if not generators:
         return (eye,)
     coef = np.random.default_rng(0).standard_normal((len(generators), 2))
@@ -174,7 +175,10 @@ def _symmetry_blocks(generators: list[np.ndarray], d: int) -> tuple[np.ndarray, 
             raise ValueError("the symmetry's joint eigenspaces were not separated")
     if len(blocks) == 1:
         return (eye,)
-    return tuple(sorted((_pivoted_basis(v) for v in blocks), key=lambda v: v.shape[1]))
+    bases = sorted((_pivoted_basis(v) for v in blocks), key=lambda v: v.shape[1])
+    for v in bases:
+        v.flags.writeable = False
+    return tuple(bases)
 
 
 def _pivoted_basis(v: np.ndarray) -> np.ndarray:
@@ -195,7 +199,7 @@ def _pivoted_basis(v: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Bipartite space, density operators and their prior probabilities, and
     local-unitary pairs (U_X, U_Y) whose products U_X (x) U_Y commute and fix

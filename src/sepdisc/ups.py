@@ -31,7 +31,7 @@ class ProductSetError(ValueError):
     algorithm needs that."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnextendabilityReport:
     unextendable: bool
     witness: ProductVector | None  # a product vector orthogonal to every member
@@ -88,7 +88,7 @@ def is_unextendable(s: UPSet) -> UnextendabilityReport:
     return UnextendabilityReport(True, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplacementSet:
     """Per-index finite lists of product vectors orthogonal to all members
     but the indexed one (their projections are the LP columns)."""
@@ -131,7 +131,7 @@ def replacement_projections(s: UPSet) -> ReplacementSet:
     return ReplacementSet(tuple(per_index))
 
 
-@dataclass
+@dataclass(eq=False)
 class SeparableDiscriminationReport:
     """Outcome of the perfect-separable-discrimination criterion.
 
@@ -191,7 +191,7 @@ def separable_perfect_discrimination(s: UPSet) -> SeparableDiscriminationReport:
     return SeparableDiscriminationReport(True, meas, None, reps, lp)
 
 
-@dataclass
+@dataclass(eq=False)
 class UPSBoundReport:
     bound: float
     certificate: DualCertificate

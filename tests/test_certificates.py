@@ -6,7 +6,6 @@ from sepdisc.certificates import (
     adjugate_map,
     block_positivity_search,
     breuer_hall_witness,
-    choi_apply,
     choi_matrix,
     corner_scaling_map,
     four_bell_certificate_psd_margins,
@@ -93,10 +92,13 @@ def test_map_shape_error():
         two_qubit_positive_map(np.eye(2), 1.0)
 
 
-def test_choi_roundtrip(rng):
-    h = random_complex(rng, 8, 8)
-    got = choi_matrix(lambda y: choi_apply(h, 2, 4, y), 2, 4)
-    assert np.abs(got - h).max() <= 1e-13
+def test_choi_matrix_of_a_conjugation(rng):
+    # Lambda(Y) = A Y A^dagger from L(C^4) to L(C^2) has the Choi matrix
+    # (A (x) 1)|Omega><Omega|(A (x) 1)^dagger with |Omega> = vec(1).
+    a = random_complex(rng, 2, 4)
+    lifted = kron(a, np.eye(4)) @ vec(np.eye(4))
+    got = choi_matrix(lambda y: a @ y @ a.conj().T, 2, 4)
+    assert np.abs(got - np.outer(lifted, lifted.conj())).max() <= 1e-13
 
 
 # -- three-Bell resource certificate ------------------------------------------

@@ -349,12 +349,23 @@ def _probs_ensemble(probs):
          _probs_ensemble([True, 0, 0]), "probs must be a list of numbers"),
         (["discriminate", "{path}", "--class", "global"],
          _probs_ensemble(0.5), "probs must be a list of numbers"),
+        (["discriminate", "{path}", "--class", "global"],
+         {"kind": "ensemble", "space": {"dim_x": 2, "dim_y": 2}, "probs": [1.0],
+          "states": [encode_matrix(np.diag([1.5, -0.5, 0.0, 0.0]))]},
+         "ensemble states must be positive semidefinite"),
+        (["ups", "{path}"],
+         {"kind": "product_set", "space": {"dim_x": 2, "dim_y": 2},
+          "members": [{"x": encode_vector(np.eye(3)[0]), "y": encode_vector(np.eye(2)[0])}]},
+         "member factors do not match the space dims"),
+        (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--z", "{path}"],
+         encode_vector(np.array([1.0, 0.0])), "z does not live on the set's space"),
     ],
     ids=["ups-bound-z", "ups-check", "discriminate-list", "discriminate-bare-rows",
          "discriminate-no-space", "ups-members-number", "discriminate-float-factor",
          "discriminate-factor-product", "discriminate-float-dim", "discriminate-bool-dim",
          "ups-bool-factor", "discriminate-string-probs", "discriminate-bool-probs",
-         "discriminate-number-probs"],
+         "discriminate-number-probs", "discriminate-not-psd", "ups-factor-length",
+         "ups-bound-z-dim"],
 )
 def test_malformed_json_input_rejected(tmp_path, capsys, argv, content, message):
     # exit 2 with a one-line message and no traceback
@@ -500,6 +511,13 @@ def test_ups_bound_requires_lambda(tmp_path):
     assert code == EXIT_INPUT
     code, _ = run(tmp_path, "ups", "feng", "--action", "bound", "--lambda", "analytic")
     assert code == EXIT_INPUT
+
+
+def test_ups_bound_requires_z_beyond_tiles(tmp_path, capsys):
+    # Only tiles has a built-in extra state.
+    code, report = run(tmp_path, "ups", "feng", "--action", "bound", "--lambda", "0.001")
+    assert code == EXIT_INPUT and report is None
+    assert capsys.readouterr().err == "error: the bound action requires --z for this input\n"
 
 
 def test_ups_bound_rejects_non_finite_lambda(tmp_path, capsys):

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sepdisc.linalg import PAULI, BipartiteSpace, kron
+from sepdisc import certificates, conesolve, discrimination, ups
+from sepdisc.linalg import PAULI, BipartiteSpace, _triu_indices, hermitian_basis_matrix, kron
 from sepdisc.states import (
     Ensemble,
     ProductVector,
@@ -180,6 +181,52 @@ def test_replaced_prior_builds_its_own_equal_bases():
         assert ours is not theirs and len(ours) == len(theirs) == 12
         for a, b in zip(ours, theirs):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_shared_cached_arrays_are_read_only():
+    # Every caller gets the same cached arrays, so a write into one would
+    # change every program built after it.
+    shared = [hermitian_basis_matrix(3), *_triu_indices(3)]
+    for e in (extend_ensemble(catalog("bell4"), 0.6), catalog("domino")):
+        shared += [*e.block_bases, *e.pt_block_bases]
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ProductVector(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+        lambda: catalog("tiles"),
+        lambda: catalog("bell3"),
+        certificates.ydy_certificate,
+        lambda: discrimination._program(catalog("bell3"), False)[0],
+        lambda: discrimination.optimal_global(catalog("bell3")).solution,
+        lambda: conesolve.solve_lp_feasibility([np.eye(2)], np.eye(2)),
+        lambda: discrimination.bell_compare_measurement(4),
+        lambda: discrimination.optimal_global(catalog("bell3")),
+        lambda: discrimination.sep_bound_from_certificate(
+            catalog("ydy"), certificates.ydy_certificate(), restarts=2, seed=0),
+        lambda: certificates.block_positivity_search(np.eye(4), BipartiteSpace(2, 2), 2, 0),
+        lambda: ups.is_unextendable(catalog("tiles")),
+        lambda: ups.replacement_projections(catalog("tiles")),
+        lambda: ups.separable_perfect_discrimination(catalog("feng")),
+        lambda: ups.ups_plus_state_bound(
+            catalog("tiles"), tiles_orthogonal_state(), ups.tiles_overlap_constant()),
+    ],
+    ids=["ProductVector", "UPSet", "Ensemble", "DualCertificate", "SDPProblem", "SDPSolution",
+         "LPFeasibilityResult", "Measurement", "DiscriminationResult", "SepBoundReport",
+         "ConeSearchReport", "UnextendabilityReport", "ReplacementSet",
+         "SeparableDiscriminationReport", "UPSBoundReport"],
+)
+def test_records_compare_and_hash_by_identity(make):
+    # Records that hold arrays compare by identity: a field-wise == would
+    # compare arrays, which raises, and arrays do not hash.
+    x = make()
+    assert x == x
+    assert (x == make()) is False
+    hash(x)
 
 
 def test_catalog_symmetries_fix_their_states():
