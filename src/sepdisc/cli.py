@@ -40,6 +40,8 @@ from .certificates import (
 from .conesolve import ConvergenceError, format_iterate_log, span_residual
 from .discrimination import (
     four_bell_value,
+    local_guess_measurement,
+    measurement_value,
     optimal_global,
     optimal_ppt,
     sep_bound_from_certificate,
@@ -51,6 +53,7 @@ from .states import (
     Ensemble,
     ProductVector,
     UPSet,
+    bell,
     catalog,
     extend_ensemble,
     projector,
@@ -184,17 +187,6 @@ def load_vector(path: str) -> np.ndarray:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def save_ensemble(path: str, e: Ensemble) -> None:
-    data = {
-        "kind": "ensemble",
-        "space": {"dim_x": e.space.dim_x, "dim_y": e.space.dim_y},
-        "probs": [float(p) for p in e.probs],
-        "states": [encode_matrix(s) for s in e.states],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -280,9 +272,8 @@ def _bell3_certificate(eps: float):
 
 
 def _bell4_certificate(eps: float):
-    # No ensemble: the PPT margins of the transposed slacks decide the outcome.
     cert = four_bell_resource_certificate(eps)
-    return None, cert, {
+    return extend_ensemble(catalog("bell4"), eps), cert, {
         "trace_formula_residual": abs(cert.claimed_value - four_bell_value(eps)),
         "transposed_slack_min_eigenvalues": four_bell_certificate_psd_margins(cert, eps),
     }
@@ -301,19 +292,22 @@ def _ydy_certificate(_):
     }
 
 
-# name -> (takes --epsilon, builder of (ensemble, certificate, exact-identity
-# checks on that one certificate)). A certificate with an ensemble is scored by
-# the see-saw searches of sep_bound_from_certificate; one without by its checks.
+# name -> (takes --epsilon, each party's local basis for the protocol side,
+# builder of (ensemble, certificate, exact-identity checks on that one
+# certificate)). bell4's outcome is decided by the PPT margins of its
+# transposed slacks; the others' by the see-saw searches of
+# sep_bound_from_certificate.
+BELL_BASIS = np.column_stack([bell(k) for k in range(1, 5)])
 CERTIFICATES = {
-    "bell3": (True, _bell3_certificate),
-    "bell4": (True, _bell4_certificate),
-    "ydy": (False, _ydy_certificate),
+    "bell3": (True, BELL_BASIS, _bell3_certificate),
+    "bell4": (True, BELL_BASIS, _bell4_certificate),
+    "ydy": (False, np.eye(4), _ydy_certificate),
 }
 
 
 def cmd_certify(args) -> tuple[dict, int]:
     name = args.name
-    takes_epsilon, build = CERTIFICATES[name]
+    takes_epsilon, basis, build = CERTIFICATES[name]
     if takes_epsilon and args.epsilon is None:
         raise InputError(f"certify {name} requires --epsilon")
     if not takes_epsilon and args.epsilon is not None:
@@ -324,8 +318,13 @@ def cmd_certify(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    outputs = {"claimed_trace": cert.claimed_value, **checks}
-    if ens is None:
+    # The bracket [protocol_value, claimed_trace] on the separable (and LOCC) optimum.
+    outputs = {
+        "claimed_trace": cert.claimed_value,
+        "protocol_value": measurement_value(ens, local_guess_measurement(ens, basis, basis)),
+        **checks,
+    }
+    if name == "bell4":
         refuted = min(checks["transposed_slack_min_eigenvalues"]) < -PSD_MARGIN_TOL
     else:
         try:

@@ -1,10 +1,11 @@
 """State-discrimination cone programs for global and PPT measurement classes,
-closed-form values for the resource-assisted Bell families, and scoring of
-separable-measurement dual certificates.
+closed-form values for the resource-assisted Bell families, scoring of
+separable-measurement dual certificates, and best-guess local measurements.
 
 The separable optimum itself is never computed (there is no tractable cone
-for it); the package brackets it between hand-coded local measurements and
-dual certificates, which is the whole method.
+for it); the package brackets it between local protocols (a best-guess
+measurement in two local bases) and dual certificates, which is the whole
+method.
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ def measurement_value(e: Ensemble, m: Measurement) -> float:
             for p, rho, op in zip(e.probs, e.states, m.operators)
         )
     )
+
+
+def local_guess_measurement(e: Ensemble, basis_x: np.ndarray, basis_y: np.ndarray) -> Measurement:
+    """Each party measures its side in a basis (the columns of a unitary), and
+    outcome pair (a, b) guesses the first k maximizing p_k <a b| rho_k |a b>:
+    a product measurement plus classical post-processing, hence LOCC."""
+    v = np.kron(basis_x, basis_y)
+    scores = [p * np.einsum("ia,ij,ja->a", v.conj(), rho, v).real
+              for p, rho in zip(e.probs, e.states)]
+    guess = np.argmax(scores, axis=0)
+    return Measurement(tuple(v[:, guess == k] @ v[:, guess == k].conj().T for k in range(len(e))))
 
 
 def _compress(bases, a: np.ndarray) -> list[np.ndarray]:
@@ -242,44 +254,3 @@ def sep_bound_from_certificate(
         reports.append(block_positivity_search(h - p * rho, e.space, restarts, seed))
     unrefuted = all(not r.refuted for r in reports)
     return SepBoundReport(bound=cert.claimed_value, reports=reports, unrefuted=unrefuted)
-
-
-# ---------------------------------------------------------------------------
-# Hand-coded LOCC baselines (the achievable side of each bracket)
-# ---------------------------------------------------------------------------
-
-
-def ydy_local_measurement() -> Measurement:
-    """Standard-basis local measurement for the Yu-Duan-Ying ensemble.
-
-    Both parties measure in the computational basis; matching outcomes vote
-    for the first state, mirrored outcomes for the second, the four
-    one-bit-flip pairs for the fourth. Succeeds with probability exactly 3/4
-    (it can never identify the third state).
-    """
-    def diag_proj(pairs):
-        p = np.zeros((16, 16), dtype=complex)
-        for a, b in pairs:
-            p[4 * a + b, 4 * a + b] = 1.0
-        return p
-
-    p1 = diag_proj([(j, j) for j in range(4)])
-    p2 = diag_proj([(j, 3 - j) for j in range(4)])
-    p4 = diag_proj([(0, 1), (1, 0), (2, 3), (3, 2)])
-    p3 = np.eye(16, dtype=complex) - p1 - p2 - p4
-    return Measurement((p1, p2, p3, p4))
-
-
-def bell_compare_measurement(n_states: int) -> Measurement:
-    """Measure-and-compare protocol for n_states uniform Bell states (3 or 4):
-    both parties measure the standard basis, answer the first state when the
-    bits agree and the third when they disagree. Succeeds with probability
-    exactly 2/3 (three states) or 1/2 (four)."""
-    if n_states not in (3, 4):
-        raise ValueError("the compare baseline covers 3 or 4 Bell states")
-    agree = np.zeros((4, 4), dtype=complex)
-    agree[0, 0] = agree[3, 3] = 1.0
-    disagree = np.eye(4, dtype=complex) - agree
-    zero = np.zeros((4, 4), dtype=complex)
-    ops = (agree, zero, disagree) if n_states == 3 else (agree, zero, disagree, zero)
-    return Measurement(ops)

@@ -23,12 +23,12 @@ from sepdisc.certificates import (
 )
 from sepdisc.conesolve import verify_farkas, weak_duality_ok
 from sepdisc.discrimination import (
+    local_guess_measurement,
     measurement_value,
     optimal_global,
     optimal_ppt,
     three_bell_value,
     four_bell_value,
-    ydy_local_measurement,
 )
 from sepdisc.linalg import BipartiteSpace, PAULI, kron
 from sepdisc.states import (
@@ -155,7 +155,8 @@ def test_criterion_5_ydy(ydy_ppt, rng):
         iy = kron(np.eye(4, dtype=complex), y.reshape(-1, 1))
         m = iy.conj().T @ witness @ iy
         proj_resid = max(proj_resid, float(np.abs(m @ m - m).max()))
-    baseline = measurement_value(catalog("ydy"), ydy_local_measurement())
+    ydy, standard = catalog("ydy"), np.eye(4)
+    baseline = measurement_value(ydy, local_guess_measurement(ydy, standard, standard))
     ok = (
         value_err <= 1e-6
         and cert.claimed_value == 0.75

@@ -17,9 +17,20 @@ from sepdisc.cli import (
     encode_vector,
     load_ensemble,
     main,
-    save_ensemble,
 )
 from sepdisc.states import catalog, extend_ensemble
+
+
+def save_ensemble(path: str, e) -> None:
+    """Write an ensemble file in the schema that load_ensemble reads."""
+    data = {
+        "kind": "ensemble",
+        "space": {"dim_x": e.space.dim_x, "dim_y": e.space.dim_y},
+        "probs": [float(p) for p in e.probs],
+        "states": [encode_matrix(s) for s in e.states],
+    }
+    with open(path, "w") as fh:
+        json.dump(data, fh)
 
 
 def run(tmp_path, *argv):
@@ -196,6 +207,23 @@ def test_certify_four_bell_endpoint(tmp_path):
     assert report["outputs"]["outcome"] == "unrefuted"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--epsilon", eps] for name in ("bell3", "bell4") for eps in ("0.2", "0.6", "0.9")]
+    + [["ydy"]],
+    ids=lambda argv: "-".join(argv[::2]),
+)
+def test_certify_reports_its_bracket(tmp_path, argv):
+    # The local protocol's value is the lower end, the certificate's trace the
+    # upper end, and for these families the two meet.
+    code, report = run(tmp_path, "certify", *argv, "--restarts", "20")
+    assert code == EXIT_OK
+    out = report["outputs"]
+    assert list(out)[:2] == ["claimed_trace", "protocol_value"]
+    assert out["protocol_value"] <= out["claimed_trace"] + 1e-12
+    assert abs(out["protocol_value"] - out["claimed_trace"]) <= 1e-12
+
+
 def _count_calls(monkeypatch, home, name):
     """The argument tuples of every call of ``home.name`` during the test, in
     whichever sepdisc module the caller looks the function up."""
@@ -228,7 +256,8 @@ def test_certify_bell4_builds_its_certificate_once(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "certify", "bell4", "--epsilon", "0.6")
     assert code == EXIT_OK
     assert builds == [(0.6,)]
-    assert extensions == []
+    # Its extended ensemble is built once, for the protocol's value only.
+    assert [eps for _, eps in extensions] == [0.6]
 
 
 def test_certify_ydy_deterministic(tmp_path):

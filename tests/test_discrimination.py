@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,15 +8,15 @@ from sepdisc.conesolve import ROW_DROP_TOL, weak_duality_ok
 from sepdisc.discrimination import (
     Measurement,
     _program,
-    bell_compare_measurement,
     four_bell_value,
+    local_guess_measurement,
     measurement_value,
     optimal_global,
     optimal_ppt,
     sep_bound_from_certificate,
     three_bell_value,
-    ydy_local_measurement,
 )
+from sepdisc.cli import BELL_BASIS
 from sepdisc.conesolve import DualCertificate
 from sepdisc.linalg import BipartiteSpace, partial_transpose
 from sepdisc.states import Ensemble, bell, catalog, extend_ensemble, projector
@@ -205,20 +206,45 @@ def test_sep_bound_trivial_certificate():
         assert r.min_overlap >= -1e-9
 
 
-def test_ydy_local_baseline_exact():
-    m = ydy_local_measurement()
-    assert measurement_value(catalog("ydy"), m) == 0.75
+# Measure-and-compare on the plain Bell families: agreeing bits answer the
+# first state, disagreeing bits the third.
+AGREE = np.diag([1.0, 0.0, 0.0, 1.0])
+DISAGREE = np.diag([0.0, 1.0, 1.0, 0.0])
+ZERO = np.zeros((4, 4))
+RESOURCE_EPSILONS = (0.0, 0.2, 0.28, 0.6, 0.9, 1.0, *np.random.default_rng(17).uniform(0, 1, 20))
 
 
-def test_bell_compare_baselines_exact():
-    assert measurement_value(catalog("bell3"), bell_compare_measurement(3)) == pytest.approx(
-        2 / 3, abs=1e-15
-    )
-    assert measurement_value(catalog("bell4"), bell_compare_measurement(4)) == pytest.approx(
-        0.5, abs=1e-15
-    )
-    with pytest.raises(ValueError):
-        bell_compare_measurement(5)
+def _local_guess_cases():
+    """(family, epsilon, prior, local basis, value, tolerance, operators or None)."""
+    yield pytest.param("bell3", None, None, np.eye(2), 2 / 3, 1e-15, (AGREE, ZERO, DISAGREE),
+                       id="bell3")
+    yield pytest.param("bell4", None, None, np.eye(2), 0.5, 1e-15,
+                       (AGREE, ZERO, DISAGREE, ZERO), id="bell4")
+    yield pytest.param("ydy", None, None, np.eye(4), 0.75, 0.0, None, id="ydy")
+    for eps in RESOURCE_EPSILONS:
+        r = math.sqrt(1.0 - eps * eps)
+        yield pytest.param("bell3", eps, None, BELL_BASIS, (2 + r) / 3, 1e-12, None,
+                           id=f"bell3-tau-{eps:.6g}")
+        yield pytest.param("bell4", eps, None, BELL_BASIS, (1 + r) / 2, 1e-12, None,
+                           id=f"bell4-tau-{eps:.6g}")
+    for prior in ((0.5, 0.3, 0.2), (0.6, 0.2, 0.2), (0.4, 0.4, 0.2)):
+        yield pytest.param("bell3", 0.6, prior, BELL_BASIS, 0.92, 1e-12, None,
+                           id="bell3-tau-0.6-prior-" + "-".join(map(str, prior)))
+
+
+@pytest.mark.parametrize("family, eps, prior, basis, value, tol, operators", _local_guess_cases())
+def test_local_guess_measurement(family, eps, prior, basis, value, tol, operators):
+    # Local measurements in the named bases plus the best guess per outcome
+    # pair meet the exact separable (and LOCC) values: 2/3, 1/2 and 3/4 without
+    # the resource, (2 + r)/3 and (1 + r)/2 with tau(eps), r = sqrt(1 - eps^2).
+    e = catalog(family) if eps is None else extend_ensemble(catalog(family), eps)
+    if prior is not None:
+        e = dataclasses.replace(e, probs=np.array(prior))
+    m = local_guess_measurement(e, basis, basis)
+    assert abs(measurement_value(e, m) - value) <= tol
+    if operators is not None:
+        assert len(m.operators) == len(operators)
+        assert all(np.array_equal(a, b) for a, b in zip(m.operators, operators))
 
 
 def test_certificate_dominates_locc_baseline(bell4_ppt, bell3_ppt, ydy_ppt):

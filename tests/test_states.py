@@ -204,7 +204,7 @@ def test_shared_cached_arrays_are_read_only():
         lambda: discrimination._program(catalog("bell3"), False)[0],
         lambda: discrimination.optimal_global(catalog("bell3")).solution,
         lambda: conesolve.solve_lp_feasibility([np.eye(2)], np.eye(2)),
-        lambda: discrimination.bell_compare_measurement(4),
+        lambda: discrimination.local_guess_measurement(catalog("bell4"), np.eye(2), np.eye(2)),
         lambda: discrimination.optimal_global(catalog("bell3")),
         lambda: discrimination.sep_bound_from_certificate(
             catalog("ydy"), certificates.ydy_certificate(), restarts=2, seed=0),
