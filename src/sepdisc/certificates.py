@@ -5,7 +5,8 @@ A Hermitian H with H - p_k rho_k block positive for every k certifies that no
 separable measurement succeeds with probability above Tr(H). The generic
 search here can only refute such a certificate (by finding a product vector
 with negative expectation) or report it unrefuted; the constructions below
-additionally come with exact algebraic identities that the tests pin down.
+additionally come with exact algebraic identities, whose float residuals bound
+every product vector's expectation at once (``sepdisc certify``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ REFUTATION_TOL = 1e-9
 MAX_ALTERNATIONS = 500
 ALTERNATION_FTOL = 1e-12
 UNITARY_TOL = 1e-10
-# A slack whose least eigenvalue is below -PSD_MARGIN_TOL refutes its certificate.
+# A slack whose least eigenvalue, or whose lower bound on its block-positivity
+# margin, is below -PSD_MARGIN_TOL refutes its certificate.
 PSD_MARGIN_TOL = 1e-10
 
 

@@ -6,7 +6,9 @@ seeds; the timing field is the only part that varies between runs.
 
 Exit codes: 0 success, 2 input validation (including an input or output
 path that cannot be read or written), 3 solver non-convergence, 4 refuted
-certificate.
+certificate: for ``certify``, a lower bound on some slack's block-positivity
+margin below -PSD_MARGIN_TOL; for ``ups --action bound``, a see-saw witness
+or a member slack eigenvalue below it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .discrimination import (
     measurement_value,
     optimal_global,
     optimal_ppt,
-    sep_bound_from_certificate,
     three_bell_value,
 )
 from .linalg import BipartiteSpace
@@ -262,41 +263,76 @@ def _search(h, space, args):
         raise InputError(str(exc)) from exc
 
 
+def _see_saw_flags(args) -> tuple[int, int]:
+    """--restarts and --seed, with the search defaults for a flag not given."""
+    return (DEFAULT_RESTARTS if args.restarts is None else args.restarts,
+            DEFAULT_SEED if args.seed is None else args.seed)
+
+
+# Rounding budget of a float identity residual, in ulps of the largest slack
+# entry: it covers the entries' own rounding and the four-term sums of the
+# local conjugations.
+IDENTITY_ULPS = 64
+
+
+def _margin_bounds(residuals, slacks) -> list[float]:
+    """Lower bounds on min <v|S|v> over unit product vectors v, one per slack
+    S, given residuals[k] >= max|S_k - B_k| up to roundoff for a block-positive
+    B_k. For an n x n error E, ||E||_2 <= n max|E|, so
+    <v|S_k|v> >= -n (residuals[k] + beta), beta the rounding budget."""
+    n = slacks[0].shape[0]
+    beta = IDENTITY_ULPS * float(np.spacing(max(np.abs(s).max() for s in slacks)))
+    return [-n * (r + beta) for r in residuals]
+
+
 def _bell3_certificate(eps: float):
     cert, slacks = three_bell_resource_certificate(eps)
+    link = three_bell_slack_map_residual(slacks[0], eps)
+    conjugations = list(three_bell_slack_conjugations(slacks))
+    # Slack 1 is (r/12) times the Choi matrix of a positive map, and slacks
+    # 2 and 3 are its conjugations by local unitaries.
+    bounds = _margin_bounds([link] + [link + c for c in conjugations], slacks)
     return extend_ensemble(catalog("bell3"), eps), cert, {
         "trace_formula_residual": abs(cert.claimed_value - three_bell_value(eps)),
-        "conjugation_residuals": list(three_bell_slack_conjugations(slacks)),
-        "map_link_residual": three_bell_slack_map_residual(slacks[0], eps),
-    }
+        "conjugation_residuals": conjugations,
+        "map_link_residual": link,
+        "slack_margin_bounds": bounds,
+    }, bounds
 
 
 def _bell4_certificate(eps: float):
     cert = four_bell_resource_certificate(eps)
+    # <x (x) y|S|x (x) y> = <conj(x) (x) y|T_X(S)|conj(x) (x) y>.
+    margins = four_bell_certificate_psd_margins(cert, eps)
     return extend_ensemble(catalog("bell4"), eps), cert, {
         "trace_formula_residual": abs(cert.claimed_value - four_bell_value(eps)),
-        "transposed_slack_min_eigenvalues": four_bell_certificate_psd_margins(cert, eps),
-    }
+        "transposed_slack_min_eigenvalues": margins,
+    }, margins
 
 
 def _ydy_certificate(_):
     cert, ens, us, v = ydy_certificate(), catalog("ydy"), ydy_unitaries(), ydy_witness_unitary()
-    skews = [v.T @ u for u in us]
-    diffs = [
-        cert.matrix - p * rho - breuer_hall_witness(u, v) / 16.0
-        for u, p, rho in zip(us, ens.probs, ens.states)
+    slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
+    skew_residuals = [float(np.abs(w.T + w).max()) for w in (v.T @ u for u in us)]
+    witness_residuals = [
+        float(np.abs(s - breuer_hall_witness(u, v) / 16.0).max()) for s, u in zip(slacks, us)
     ]
+    # Each slack is a Breuer-Hall witness over 16, block positive when V^T U
+    # is skew-symmetric. A symmetric part D of V^T U lowers the witness's
+    # margin by at most 4 max|D| = 2 skew, so the slack's by less than 16 skew.
+    bounds = _margin_bounds([w + s for w, s in zip(witness_residuals, skew_residuals)], slacks)
     return ens, cert, {
-        "skew_symmetry_residuals": [float(np.abs(w.T + w).max()) for w in skews],
-        "witness_identity_residuals": [float(np.abs(w).max()) for w in diffs],
-    }
+        "skew_symmetry_residuals": skew_residuals,
+        "witness_identity_residuals": witness_residuals,
+        "slack_margin_bounds": bounds,
+    }, bounds
 
 
 # name -> (takes --epsilon, each party's local basis for the protocol side,
-# builder of (ensemble, certificate, exact-identity checks on that one
-# certificate)). bell4's outcome is decided by the PPT margins of its
-# transposed slacks; the others' by the see-saw searches of
-# sep_bound_from_certificate.
+# builder of (ensemble, certificate, checks on that one certificate, a lower
+# bound on each slack's block-positivity margin)). bell3 and ydy bound their
+# margins from their float identity residuals, bell4 by the least eigenvalue
+# of each transposed slack; no name runs a see-saw search.
 BELL_BASIS = np.column_stack([bell(k) for k in range(1, 5)])
 CERTIFICATES = {
     "bell3": (True, BELL_BASIS, _bell3_certificate),
@@ -312,9 +348,9 @@ def cmd_certify(args) -> tuple[dict, int]:
         raise InputError(f"certify {name} requires --epsilon")
     if not takes_epsilon and args.epsilon is not None:
         raise InputError(f"certify {name} takes no --epsilon")
-    try:  # the see-saw flags are checked for every name, searched or not
-        check_search_args(args.restarts, args.seed)
-        ens, cert, checks = build(args.epsilon)
+    try:  # certify runs no search, but its see-saw flags are still checked
+        check_search_args(*_see_saw_flags(args))
+        ens, cert, checks, margin_bounds = build(args.epsilon)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -323,17 +359,9 @@ def cmd_certify(args) -> tuple[dict, int]:
         "claimed_trace": cert.claimed_value,
         "protocol_value": measurement_value(ens, local_guess_measurement(ens, basis, basis)),
         **checks,
+        "certificate": {"cone": cert.cone_tag, "matrix": encode_matrix(cert.matrix)},
     }
-    if name == "bell4":
-        refuted = min(checks["transposed_slack_min_eigenvalues"]) < -PSD_MARGIN_TOL
-    else:
-        try:
-            score = sep_bound_from_certificate(ens, cert, args.restarts, args.seed)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        outputs["searches"] = [_search_payload(r) for r in score.reports]
-        refuted = not score.unrefuted
-    outputs["certificate"] = {"cone": cert.cone_tag, "matrix": encode_matrix(cert.matrix)}
+    refuted = min(margin_bounds) < -PSD_MARGIN_TOL
     outputs["outcome"] = "refuted" if refuted else "unrefuted"
     return outputs, EXIT_REFUTED if refuted else EXIT_OK
 
@@ -402,8 +430,7 @@ def cmd_ups(args) -> tuple[dict, int]:
         return outputs, EXIT_OK
 
     # Only "bound" is left, the one action that runs a see-saw: record its defaults.
-    args.restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
-    args.seed = DEFAULT_SEED if args.seed is None else args.seed
+    args.restarts, args.seed = _see_saw_flags(args)
     if args.lam is None:
         raise InputError("the bound action requires --lambda")
     if args.lam == "analytic":
@@ -458,9 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, see_saw: bool):
+        # None unless given, and then left out of the report: only `ups
+        # --action bound` reads them, `certify` checks them, and the other
+        # ups actions reject them.
         if see_saw:
-            p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--restarts", type=int)
+            p.add_argument("--seed", type=int)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("discriminate", help="solve a discrimination program")
@@ -486,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certified overlap constant (a float, or 'analytic' for tiles)")
     p.add_argument("--z", help="file holding the extra orthogonal state for 'bound'")
     common(p, see_saw=True)
-    # None unless given: only --action bound reads them, the others reject them.
-    p.set_defaults(func=cmd_ups, restarts=None, seed=None)
+    p.set_defaults(func=cmd_ups)
 
     return parser
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sepdisc import certificates
 from sepdisc.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -240,8 +241,6 @@ def _count_calls(monkeypatch, home, name):
 
 
 def test_certify_bell3_builds_its_certificate_once(tmp_path, monkeypatch):
-    from sepdisc import certificates
-
     builds = _count_calls(monkeypatch, certificates, "three_bell_resource_certificate")
     code, _ = run(tmp_path, "certify", "bell3", "--epsilon", "0.6")
     assert code == EXIT_OK
@@ -249,7 +248,7 @@ def test_certify_bell3_builds_its_certificate_once(tmp_path, monkeypatch):
 
 
 def test_certify_bell4_builds_its_certificate_once(tmp_path, monkeypatch):
-    from sepdisc import certificates, states
+    from sepdisc import states
 
     builds = _count_calls(monkeypatch, certificates, "four_bell_resource_certificate")
     extensions = _count_calls(monkeypatch, states, "extend_ensemble")
@@ -258,6 +257,69 @@ def test_certify_bell4_builds_its_certificate_once(tmp_path, monkeypatch):
     assert builds == [(0.6,)]
     # Its extended ensemble is built once, for the protocol's value only.
     assert [eps for _, eps in extensions] == [0.6]
+
+
+@pytest.mark.parametrize("argv", [["bell3", "--epsilon", "0.6"],
+                                  ["bell4", "--epsilon", "0.6"], ["ydy"]])
+def test_certify_runs_no_search(tmp_path, monkeypatch, argv):
+    # The outcome comes from the certificate's own identity checks.
+    searches = _count_calls(monkeypatch, certificates, "block_positivity_search")
+    code, report = run(tmp_path, "certify", *argv)
+    assert code == EXIT_OK and report["outputs"]["outcome"] == "unrefuted"
+    assert searches == []
+    # --restarts and --seed are not read, so the report lists them only when given.
+    assert "restarts" not in report["inputs"] and "seed" not in report["inputs"]
+    code, report = run(tmp_path, "certify", *argv, "--restarts", "5", "--seed", "3")
+    assert code == EXIT_OK
+    assert (report["inputs"]["restarts"], report["inputs"]["seed"]) == (5, 3)
+
+
+def _scaled(cert, factor):
+    return certificates.DualCertificate(factor * cert.matrix, cert.cone_tag)
+
+
+def test_scaled_bell3_certificate_is_refuted(tmp_path, monkeypatch):
+    # H scaled by 1 - 1e-6 has trace below the achievable 14/15; its slacks
+    # (1 - 1e-6) H - rho_k / 3 miss the map identity by about 1e-7.
+    from sepdisc import cli
+
+    original = certificates.three_bell_resource_certificate
+
+    def scaled(eps):
+        cert, slacks = original(eps)
+        return _scaled(cert, 1 - 1e-6), [s - 1e-6 * cert.matrix for s in slacks]
+
+    monkeypatch.setattr(cli, "three_bell_resource_certificate", scaled)
+    code, report = run(tmp_path, "certify", "bell3", "--epsilon", "0.6")
+    assert code == EXIT_REFUTED
+    out = report["outputs"]
+    assert out["outcome"] == "refuted"
+    assert out["map_link_residual"] > 1e-8
+    assert max(out["slack_margin_bounds"]) < -1e-7
+
+
+def test_scaled_ydy_certificate_is_refuted(tmp_path, monkeypatch):
+    from sepdisc import cli
+
+    monkeypatch.setattr(cli, "ydy_certificate",
+                        lambda: _scaled(certificates.ydy_certificate(), 1 - 1e-6))
+    code, report = run(tmp_path, "certify", "ydy")
+    assert code == EXIT_REFUTED
+    out = report["outputs"]
+    assert out["outcome"] == "refuted"
+    assert min(out["witness_identity_residuals"]) > 1e-8
+    assert max(out["slack_margin_bounds"]) < -1e-7
+
+
+@pytest.mark.parametrize("eps", ["1e-9", "0.9999999"])
+def test_certify_bell3_near_the_ends(tmp_path, eps):
+    # The map-link residual grows toward eps = 1 (3.3e-12 at 0.9999999) but
+    # stays inside the margin tolerance.
+    code, report = run(tmp_path, "certify", "bell3", "--epsilon", eps)
+    assert code == EXIT_OK
+    out = report["outputs"]
+    assert out["outcome"] == "unrefuted"
+    assert min(out["slack_margin_bounds"]) >= -certificates.PSD_MARGIN_TOL
 
 
 def test_certify_ydy_deterministic(tmp_path):
@@ -281,13 +343,11 @@ def test_certify_ydy_deterministic(tmp_path):
         (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--restarts", "0"],
          "restarts must be at least 1, got 0"),
         # Start vectors larger than the address space: the draw fails at once,
-        # before any memory is touched.
-        (["certify", "bell3", "--epsilon", "0.6", "--restarts", "1000000000000000"],
-         "restarts must fit in memory, got 1000000000000000"),
+        # before any memory is touched. certify draws nothing, so only ups.
         (["ups", "tiles", "--action", "bound", "--lambda", "analytic",
           "--restarts", "1000000000000000"],
          "restarts must fit in memory, got 1000000000000000"),
-        # bell4 runs no search, but its flags are checked all the same.
+        # certify runs no search, but its flags are checked all the same.
         (["certify", "bell4", "--epsilon", "0.5", "--restarts", "0"],
          "restarts must be at least 1, got 0"),
         (["certify", "bell4", "--epsilon", "0.5", "--seed", "-1"],
