@@ -343,7 +343,11 @@ def test_certify_ydy_deterministic(tmp_path):
         (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--restarts", "0"],
          "restarts must be at least 1, got 0"),
         # Start vectors larger than the address space: the draw fails at once,
-        # before any memory is touched. certify draws nothing, so only ups.
+        # before any memory is touched. certify draws nothing, so only ups,
+        # with a numeric and with the analytic --lambda.
+        (["ups", "tiles", "--action", "bound", "--lambda", "0.0008",
+          "--restarts", "1000000000000000"],
+         "restarts must fit in memory, got 1000000000000000"),
         (["ups", "tiles", "--action", "bound", "--lambda", "analytic",
           "--restarts", "1000000000000000"],
          "restarts must fit in memory, got 1000000000000000"),
