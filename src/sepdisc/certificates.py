@@ -156,10 +156,13 @@ def three_bell_slack_map_residual(slack: np.ndarray, epsilon: float) -> float:
     """Max-entry residual between ``slack``, the three-Bell certificate's first
     slack operator at ``epsilon``, and the Choi matrix of the scaled,
     conjugated positive-map family it must equal."""
-    t = math.sqrt((1.0 + epsilon) / (1.0 - epsilon))
+    root = math.sqrt(1.0 - epsilon * epsilon)
+    # t = sqrt((1+eps)/(1-eps)), written so that scale * t = (1+eps)/12 holds
+    # in floats despite the cancellation in 1 - eps^2 near eps = 1.
+    t = (1.0 + epsilon) / root
     # The 1/12 absorbs the 1/4 normalization of the projectors feeding the
     # slack operator; the trace identity Tr(slack) = Tr(H) - 1/3 pins it.
-    scale = math.sqrt(1.0 - epsilon * epsilon) / 12.0
+    scale = root / 12.0
     sandwich = kron(PAULI[3], np.eye(2, dtype=complex))
     choi = choi_matrix(lambda y: sandwich @ two_qubit_positive_map(y, t) @ sandwich, 4, 4)
     return float(np.abs(slack - scale * choi).max())

@@ -286,13 +286,16 @@ def _margin_bounds(residuals, slacks) -> list[float]:
 
 
 def _bell3_certificate(eps: float):
-    cert, slacks = three_bell_resource_certificate(eps)
+    cert, _ = three_bell_resource_certificate(eps)
+    ens = extend_ensemble(catalog("bell3"), eps)
+    slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
     link = three_bell_slack_map_residual(slacks[0], eps)
     conjugations = list(three_bell_slack_conjugations(slacks))
-    # Slack 1 is (r/12) times the Choi matrix of a positive map, and slacks
-    # 2 and 3 are its conjugations by local unitaries.
+    # The slacks are those of the reported certificate and ensemble. Slack 1
+    # is (r/12) times the Choi matrix of a positive map, and slacks 2 and 3
+    # are its conjugations by local unitaries.
     bounds = _margin_bounds([link] + [link + c for c in conjugations], slacks)
-    return extend_ensemble(catalog("bell3"), eps), cert, {
+    return ens, cert, {
         "trace_formula_residual": abs(cert.claimed_value - three_bell_value(eps)),
         "conjugation_residuals": conjugations,
         "map_link_residual": link,

@@ -280,14 +280,16 @@ def _scaled(cert, factor):
 
 def test_scaled_bell3_certificate_is_refuted(tmp_path, monkeypatch):
     # H scaled by 1 - 1e-6 has trace below the achievable 14/15; its slacks
-    # (1 - 1e-6) H - rho_k / 3 miss the map identity by about 1e-7.
+    # (1 - 1e-6) H - rho_k / 3 miss the map identity by about 1e-7. Only H is
+    # scaled: certify forms the slacks from the certificate it reports, not
+    # from the ones the library returns alongside it.
     from sepdisc import cli
 
     original = certificates.three_bell_resource_certificate
 
     def scaled(eps):
         cert, slacks = original(eps)
-        return _scaled(cert, 1 - 1e-6), [s - 1e-6 * cert.matrix for s in slacks]
+        return _scaled(cert, 1 - 1e-6), slacks
 
     monkeypatch.setattr(cli, "three_bell_resource_certificate", scaled)
     code, report = run(tmp_path, "certify", "bell3", "--epsilon", "0.6")
@@ -311,14 +313,16 @@ def test_scaled_ydy_certificate_is_refuted(tmp_path, monkeypatch):
     assert max(out["slack_margin_bounds"]) < -1e-7
 
 
-@pytest.mark.parametrize("eps", ["1e-9", "0.9999999"])
+@pytest.mark.parametrize("eps", ["1e-9", "0.9999999", "0.99999999", "0.9999999995"])
 def test_certify_bell3_near_the_ends(tmp_path, eps):
-    # The map-link residual grows toward eps = 1 (3.3e-12 at 0.9999999) but
-    # stays inside the margin tolerance.
+    # Near eps = 1 the map-link reference cancels in 1 - eps^2; taken as
+    # (1 + eps) / r its residual stays at roundoff (1e-14 or less) instead
+    # of reaching 4.6e-11 at 0.99999999 and refuting a valid certificate.
     code, report = run(tmp_path, "certify", "bell3", "--epsilon", eps)
     assert code == EXIT_OK
     out = report["outputs"]
     assert out["outcome"] == "unrefuted"
+    assert out["map_link_residual"] < 1e-13
     assert min(out["slack_margin_bounds"]) >= -certificates.PSD_MARGIN_TOL
 
 

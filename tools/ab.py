@@ -1,12 +1,13 @@
 """A/B comparison of two checkouts on one benchmark workload.
 
-    python3 tools/ab.py PARENT CHANGE --workload NAME --seed N --pairs P [--seconds S]
+    python3 tools/ab.py PARENT CHANGE --workload NAME --seed N --pairs P
 
 PARENT and CHANGE are the roots of two checkouts. Each pair runs
-``perfbench/run.py --trace 0`` once in each checkout, in fresh processes, one
-after the other; a coin drawn from a generator seeded with ``--seed`` decides
-which side runs first, so host drift does not favour either side. Each run's
-last stdout line is printed as it arrives. At the end, for every end-to-end
+``perfbench/run.py --trace 0`` once in each checkout, for the ``run_seconds``
+that ``BENCHMARK.json`` sets, in fresh processes, one after the other; a coin
+drawn from a generator seeded with ``--seed`` decides which side runs first,
+so host drift does not favour either side. Each run's last stdout line is
+printed as it arrives. At the end, for every end-to-end
 metric that ``BENCHMARK.json`` declares, one row gives each side's median and
 quartiles, the change/parent ratio of the medians, and the pairs in which the
 change was better in the metric's declared direction. A run that reports
@@ -95,12 +96,11 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
 
     coin = random.Random(args.seed)
     pairs, incorrect = [], []
