@@ -32,7 +32,6 @@ from .discrimination import (
     four_bell_value,
     optimal_global,
     optimal_ppt,
-    sep_bound_from_certificate,
     three_bell_value,
 )
 from .linalg import BipartiteSpace, kron, partial_trace, partial_transpose, vec

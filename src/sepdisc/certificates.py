@@ -12,6 +12,7 @@ every product vector's expectation at once (``sepdisc certify``).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ UNITARY_TOL = 1e-10
 # A slack whose least eigenvalue, or whose lower bound on its block-positivity
 # margin, is below -PSD_MARGIN_TOL refutes its certificate.
 PSD_MARGIN_TOL = 1e-10
+try:  # bytes; where the OS does not say, only the draw itself can fail
+    PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, OSError, ValueError):
+    PHYSICAL_MEMORY = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +114,12 @@ def choi_matrix(apply_fn, dim_x: int, dim_y: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def three_bell_resource_certificate(
-    epsilon: float,
-) -> tuple[DualCertificate, list[np.ndarray]]:
+def three_bell_resource_certificate(epsilon: float) -> DualCertificate:
     """Separable-measurement dual certificate for discriminating three Bell
-    states assisted by the resource tau(eps), 0 < eps < 1.
-
-    Returns the certificate (on the (X1 X2):(Y1 Y2) bipartition, trace
-    (2 + sqrt(1 - eps^2))/3) together with the three slack operators
-    H - rho_k / 3, whose block positivity carries the bound. The endpoint
-    values are covered by :func:`sepdisc.discrimination.three_bell_value`.
+    states assisted by the resource tau(eps), 0 < eps < 1, on the
+    (X1 X2):(Y1 Y2) bipartition, with trace (2 + sqrt(1 - eps^2))/3. Its
+    slacks H - rho_k / 3 carry the bound. The endpoint values are covered by
+    :func:`sepdisc.discrimination.three_bell_value`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon}")
@@ -127,17 +128,12 @@ def three_bell_resource_certificate(
     tau_op = projector(tau(epsilon))
     phi4_pt = partial_transpose(phi4, 2, 2)
     h_paired = (kron(np.eye(4, dtype=complex), tau_op) / 2.0 + root * kron(phi4, phi4_pt)) / 3.0
-    h = resource_frame_to_xy(h_paired)
-    slacks = [
-        resource_frame_to_xy(h_paired - kron(projector(bell(k)), tau_op) / 3.0)
-        for k in (1, 2, 3)
-    ]
-    return DualCertificate(h, "sep-dual"), slacks
+    return DualCertificate(resource_frame_to_xy(h_paired), "sep-dual")
 
 
 def three_bell_slack_conjugations(slacks: list[np.ndarray]) -> tuple[float, float]:
     """Residuals of the unitary-conjugation identities relating the second and
-    third of the three-Bell certificate's given slack operators to the first.
+    third of the three-Bell certificate's slack operators to the first.
 
     The conjugating single-qubit unitaries map the first Bell state onto the
     second and third while fixing the fourth; each acts on X1 and Y1 only.
@@ -273,12 +269,16 @@ def _initial_directions(dim: int, restarts: int, seed: int) -> np.ndarray:
     return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
-def check_search_args(restarts: int, seed: int) -> None:
-    """ValueError unless restarts >= 1 and seed >= 0."""
+def check_search_args(restarts: int, seed: int, dim: int | None = None) -> None:
+    """ValueError unless restarts >= 1 and seed >= 0 and, given the dimension
+    ``dim`` the start vectors are drawn on, unless that draw of 2 * dim
+    doubles per restart fits in physical memory."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if dim is not None and restarts * 16 * dim > PHYSICAL_MEMORY:
+        raise ValueError(f"restarts must fit in memory, got {restarts}")
 
 
 def block_positivity_search(
@@ -296,7 +296,7 @@ def block_positivity_search(
     lowers its overlap by less than ``ALTERNATION_FTOL``.
     Raises ValueError unless restarts >= 1, seed >= 0 and the draw fits memory.
     """
-    check_search_args(restarts, seed)
+    check_search_args(restarts, seed, space.dim_y)
     h = require_hermitian(space.check_operator(h))
     nx, ny = space.dim_x, space.dim_y
     h4 = h.reshape(nx, ny, nx, ny)

@@ -7,8 +7,10 @@ seeds; the timing field is the only part that varies between runs.
 Exit codes: 0 success, 2 input validation (including an input or output
 path that cannot be read or written), 3 solver non-convergence, 4 refuted
 certificate: for ``certify``, a lower bound on some slack's block-positivity
-margin below -PSD_MARGIN_TOL; for ``ups --action bound``, a see-saw witness
-or a member slack eigenvalue below it.
+margin below -PSD_MARGIN_TOL; for ``ups --action bound``, a member slack
+eigenvalue below it, or the extra-state slack's margin bound with
+``--lambda analytic``, or a see-saw witness with a numeric ``--lambda``.
+Only a numeric ``--lambda`` runs a search.
 """
 
 from __future__ import annotations
@@ -245,24 +247,6 @@ def cmd_discriminate(args) -> tuple[dict, int]:
     return outputs, EXIT_OK
 
 
-def _search_payload(report) -> dict:
-    return {
-        "min_overlap": report.min_overlap,
-        "iterations": report.iterations_per_restart,
-        "witness_x": encode_vector(report.witness.x),
-        "witness_y": encode_vector(report.witness.y),
-        "refuted": report.refuted,
-    }
-
-
-def _search(h, space, args):
-    """The see-saw search under the --restarts and --seed flags."""
-    try:
-        return block_positivity_search(h, space, args.restarts, args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _see_saw_flags(args) -> tuple[int, int]:
     """--restarts and --seed, with the search defaults for a flag not given."""
     return (DEFAULT_RESTARTS if args.restarts is None else args.restarts,
@@ -286,7 +270,7 @@ def _margin_bounds(residuals, slacks) -> list[float]:
 
 
 def _bell3_certificate(eps: float):
-    cert, _ = three_bell_resource_certificate(eps)
+    cert = three_bell_resource_certificate(eps)
     ens = extend_ensemble(catalog("bell3"), eps)
     slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
     link = three_bell_slack_map_residual(slacks[0], eps)
@@ -418,12 +402,11 @@ def cmd_ups(args) -> tuple[dict, int]:
 
     if args.action == "separable":
         report = _enumerating(separable_perfect_discrimination, name, ups_set)
-        columns = [pv.projection for pv in report.replacements.all_vectors()]
         eye = np.eye(ups_set.space.total_dim, dtype=complex)
         outputs = {
             "feasible": report.feasible,
             "phase1_value": report.lp.phase1_value,
-            "identity_span_residual": span_residual(columns, eye),
+            "identity_span_residual": span_residual(list(report.columns), eye),
         }
         if report.feasible:
             outputs["weights"] = [float(w) for w in report.lp.weights]
@@ -432,15 +415,19 @@ def cmd_ups(args) -> tuple[dict, int]:
             outputs["farkas"] = encode_matrix(report.farkas)
         return outputs, EXIT_OK
 
-    # Only "bound" is left, the one action that runs a see-saw: record its defaults.
-    args.restarts, args.seed = _see_saw_flags(args)
     if args.lam is None:
         raise InputError("the bound action requires --lambda")
-    if args.lam == "analytic":
+    analytic = args.lam == "analytic"
+    if analytic:
         if name != "tiles":
             raise InputError("--lambda analytic is only defined for the tiles set")
         lam = tiles_overlap_constant()
-    else:
+        try:  # the analytic bound runs no search, but its see-saw flags are still checked
+            check_search_args(*_see_saw_flags(args), ups_set.space.dim_y)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+    else:  # a numeric --lambda is checked by the search: record its defaults
+        args.restarts, args.seed = _see_saw_flags(args)
         try:
             lam = float(args.lam)
         except ValueError as exc:
@@ -458,17 +445,38 @@ def cmd_ups(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     n = len(ups_set)
-    slack = report.certificate.matrix - projector(z) / (n + 1)
-    search = _search(slack * (n + 1), ups_set.space, args)
+    zz = projector(z)
+    slack = report.certificate.matrix - zz / (n + 1)
     outputs = {
         "lambda": lam,
         "delta": report.delta,
         "bound": report.bound,
         "claimed_trace": report.certificate.claimed_value,
         "member_slack_min_eigenvalue": report.psd_margin,
-        "extra_state_search": _search_payload(search),
     }
-    refuted = search.refuted or report.psd_margin < -PSD_MARGIN_TOL
+    if analytic:
+        # For unit product v, <v|Pi|v> >= lam (the cited constant) and
+        # |<v|z>|^2 <= delta, so (Pi - (lam/delta) zz*) / (n+1) is block
+        # positive. lam/delta <= dim_y lam, so the few-ulp errors of lam and
+        # delta move its entries by far less than the rounding budget.
+        exact = (ups_set.projector_sum() - (lam / report.delta) * zz) / (n + 1)
+        [margin] = _margin_bounds([float(np.abs(slack - exact).max())], [slack])
+        outputs["extra_state_margin_bound"] = margin
+        refuted = margin < -PSD_MARGIN_TOL
+    else:
+        try:
+            search = block_positivity_search(slack * (n + 1), ups_set.space, args.restarts, args.seed)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        outputs["extra_state_search"] = {
+            "min_overlap": search.min_overlap,
+            "iterations": search.iterations_per_restart,
+            "witness_x": encode_vector(search.witness.x),
+            "witness_y": encode_vector(search.witness.y),
+            "refuted": search.refuted,
+        }
+        refuted = search.refuted
+    refuted = refuted or report.psd_margin < -PSD_MARGIN_TOL
     outputs["outcome"] = "refuted" if refuted else "unrefuted"
     return outputs, EXIT_REFUTED if refuted else EXIT_OK
 

@@ -1,6 +1,6 @@
 """State-discrimination cone programs for global and PPT measurement classes,
-closed-form values for the resource-assisted Bell families, scoring of
-separable-measurement dual certificates, and best-guess local measurements.
+closed-form values for the resource-assisted Bell families, and best-guess
+local measurements.
 
 The separable optimum itself is never computed (there is no tractable cone
 for it); the package brackets it between local protocols (a best-guess
@@ -16,12 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conesolve
-from .certificates import (
-    ConeSearchReport,
-    DEFAULT_RESTARTS,
-    DEFAULT_SEED,
-    block_positivity_search,
-)
 from .conesolve import ConvergenceError, DualCertificate, SDPProblem, SDPSolution
 from .linalg import coords_to_herm, herm_to_coords, hermitian_basis_matrix, partial_transpose
 from .states import Ensemble
@@ -228,29 +222,3 @@ def four_bell_value(epsilon: float) -> float:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     return (1.0 + math.sqrt(1.0 - epsilon * epsilon)) / 2.0
-
-
-@dataclass(eq=False)
-class SepBoundReport:
-    """Certificate score: the bound Tr(H) plus, per state, the see-saw search
-    outcome on H - p_k rho_k. Unrefuted iff no search found an overlap below
-    the refutation tolerance."""
-
-    bound: float
-    reports: list[ConeSearchReport]
-    unrefuted: bool
-
-
-def sep_bound_from_certificate(
-    e: Ensemble,
-    cert: DualCertificate,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = DEFAULT_SEED,
-) -> SepBoundReport:
-    """Score a separable-measurement dual certificate against an ensemble."""
-    h = e.space.check_operator(cert.matrix)
-    reports = []
-    for p, rho in zip(e.probs, e.states):
-        reports.append(block_positivity_search(h - p * rho, e.space, restarts, seed))
-    unrefuted = all(not r.refuted for r in reports)
-    return SepBoundReport(bound=cert.claimed_value, reports=reports, unrefuted=unrefuted)

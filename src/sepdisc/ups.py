@@ -1,11 +1,14 @@
 """Unextendable-product-set algorithms: the unextendability decision, the
 finite enumeration of replacement product projections, the LP criterion for
 perfect separable discrimination, and the certificate bounding
-discrimination of a UPS plus one extra orthogonal pure state.
+discrimination of a UPS plus one extra orthogonal pure state. The first two
+share one split search over member subsets, whose factor complements come
+from one stacked SVD per side and subset size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,7 +17,7 @@ import numpy as np
 from . import conesolve
 from .conesolve import DualCertificate, LPFeasibilityResult
 from .discrimination import Measurement
-from .linalg import orthogonal_complement, partial_trace
+from .linalg import NULL_SPACE_RTOL, partial_trace
 from .states import ORTHOGONALITY_TOL, ProductVector, UPSet, fix_phase, projector
 
 DEDUP_OVERLAP = 1 - 1e-9
@@ -49,26 +52,42 @@ def _check_cap(s: UPSet) -> None:
         )
 
 
-def _splits(s: UPSet, members: list[int], complements: dict, reverse: bool = False):
+class _Complements:
+    """Complements of one side's factors per member subset, keyed by bitmask
+    (bit j for member j). A size's first lookup fills all its subsets with
+    one stacked SVD of the factors in increasing member order; a stacked SVD
+    runs the same LAPACK routine per matrix, so each complement is
+    ``orthogonal_complement``'s to the bit."""
+
+    def __init__(self, s: UPSet, side: str):
+        self._rows = np.array([getattr(m, side) for m in s.members]).conj()
+        self._table = {0: np.eye(self._rows.shape[1], dtype=complex)}
+
+    def __getitem__(self, mask: int) -> np.ndarray:
+        if mask not in self._table:
+            subsets = list(itertools.combinations(range(len(self._rows)), mask.bit_count()))
+            _, sv, vh = np.linalg.svd(self._rows[np.array(subsets)])
+            ranks = np.sum(sv > NULL_SPACE_RTOL * sv[:, :1], axis=1)
+            for subset, rank, v in zip(subsets, ranks, vh):
+                self._table[sum(1 << j for j in subset)] = v[rank:].conj().T
+        return self._table[mask]
+
+
+def _splits(members: list[int], cx: _Complements, cy: _Complements, reverse: bool = False):
     """Yield (nx, ny), the complements of the X factors of the X side and of
     the Y factors of the Y side, for each split of ``members`` where both are
     nonzero. Bit i of a split's mask puts ``members[i]`` on the X side; masks
-    run upwards, or downwards with ``reverse``. ``complements`` is the
-    caller's table, keyed by (side, subset), shared by all its calls."""
-
-    def complement(side: str, subset: tuple[int, ...]) -> np.ndarray:
-        if (side, subset) not in complements:
-            dim = s.space.dim_x if side == "x" else s.space.dim_y
-            vectors = [getattr(s.members[j], side) for j in subset]
-            complements[side, subset] = orthogonal_complement(vectors, dim)
-        return complements[side, subset]
-
-    masks = range(2 ** len(members))
-    for mask in reversed(masks) if reverse else masks:
-        nx = complement("x", tuple(j for i, j in enumerate(members) if (mask >> i) & 1))
+    run upwards, or downwards with ``reverse``. ``cx`` and ``cy`` are the
+    caller's X and Y tables, shared by all its calls."""
+    x_sides = [0]  # x_sides[mask]: the member bitmask of that split's X side
+    for j in members:
+        x_sides += [side | 1 << j for side in x_sides]
+    everyone = x_sides[-1]
+    for x_side in reversed(x_sides) if reverse else x_sides:
+        nx = cx[x_side]
         if nx.shape[1] == 0:
             continue
-        ny = complement("y", tuple(j for i, j in enumerate(members) if not (mask >> i) & 1))
+        ny = cy[everyone ^ x_side]
         if ny.shape[1] > 0:
             yield nx, ny
 
@@ -82,7 +101,8 @@ def is_unextendable(s: UPSet) -> UnextendabilityReport:
     the splits visited from all members on the X side down to none.
     """
     _check_cap(s)
-    for nx, ny in _splits(s, list(range(len(s))), {}, reverse=True):
+    cx, cy = _Complements(s, "x"), _Complements(s, "y")
+    for nx, ny in _splits(list(range(len(s))), cx, cy, reverse=True):
         witness = ProductVector(fix_phase(nx[:, 0]), fix_phase(ny[:, 0]))
         return UnextendabilityReport(False, witness)
     return UnextendabilityReport(True, None)
@@ -111,15 +131,16 @@ def replacement_projections(s: UPSet) -> ReplacementSet:
     can find both complements nonzero only if both are one-dimensional
     (anything larger would extend the set), and then the candidate is unique.
     Candidates are deduplicated under the global phase convention. A subset
-    recurs under every k outside it, so all k share one complement table.
+    recurs under every k outside it, so all k share one pair of complement
+    tables.
     """
     _check_cap(s)
     n = len(s)
-    complements: dict = {}
+    cx, cy = _Complements(s, "x"), _Complements(s, "y")
     per_index: list[tuple[ProductVector, ...]] = []
     for k in range(n):
         found: list[ProductVector] = []
-        for nx, ny in _splits(s, [j for j in range(n) if j != k], complements):
+        for nx, ny in _splits([j for j in range(n) if j != k], cx, cy):
             if nx.shape[1] > 1 or ny.shape[1] > 1:
                 raise ProductSetError(
                     "input is not unextendable: a subset leaves a degree of freedom"
@@ -144,6 +165,7 @@ class SeparableDiscriminationReport:
     measurement: Measurement | None
     farkas: np.ndarray | None
     replacements: ReplacementSet
+    columns: tuple[np.ndarray, ...]  # their projections, read-only, in all_vectors() order
     lp: LPFeasibilityResult
 
 
@@ -156,19 +178,20 @@ def separable_perfect_discrimination(s: UPSet) -> SeparableDiscriminationReport:
     measurement (or the Farkas witness) is re-verified directly.
     """
     reps = replacement_projections(s)
-    flat = reps.all_vectors()
-    columns = [pv.projection for pv in flat]
+    columns = tuple(pv.projection for pv in reps.all_vectors())
+    for col in columns:
+        col.flags.writeable = False
     d = s.space.total_dim
-    lp = conesolve.solve_lp_feasibility(columns, np.eye(d, dtype=complex))
+    lp = conesolve.solve_lp_feasibility(list(columns), np.eye(d, dtype=complex))
     if not lp.feasible:
-        return SeparableDiscriminationReport(False, None, lp.farkas, reps, lp)
+        return SeparableDiscriminationReport(False, None, lp.farkas, reps, columns, lp)
 
     ops = []
     pos = 0
     for lst in reps.per_index:
         block = np.zeros((d, d), dtype=complex)
-        for pv in lst:
-            block += lp.weights[pos] * pv.projection
+        for _ in lst:
+            block += lp.weights[pos] * columns[pos]
             pos += 1
         ops.append(block)
     meas = Measurement(tuple(ops))
@@ -188,7 +211,7 @@ def separable_perfect_discrimination(s: UPSet) -> SeparableDiscriminationReport:
         raise conesolve.ConvergenceError(
             f"assembled measurement is not perfect: total overlap {total!r}"
         )
-    return SeparableDiscriminationReport(True, meas, None, reps, lp)
+    return SeparableDiscriminationReport(True, meas, None, reps, columns, lp)
 
 
 @dataclass(eq=False)

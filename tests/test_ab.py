@@ -53,3 +53,30 @@ def test_summary_of_canned_runs():
 
 def test_quartiles_of_one_run():
     assert _load_tool().quartiles([0.3]) == (0.3, 0.3, 0.3)
+
+
+def _results(**seconds):
+    # The "ops" part of a perfbench results file: each operation's pass times.
+    return {"ops": [{"op": name.replace("_", " "), "ok": True, "seconds": times}
+                    for name, times in seconds.items()]}
+
+
+def test_per_operation_medians_of_canned_results():
+    ab = _load_tool()
+    parent = [_results(certify_ydy=[0.010, 0.012], ups_bound=[0.060, 0.050]),
+              _results(certify_ydy=[0.011], ups_bound=[0.070], parent_only=[1.0])]
+    change = [_results(certify_ydy=[0.011, 0.013], ups_bound=[0.003, 0.004]),
+              _results(certify_ydy=[0.012], ups_bound=[0.002])]
+    runs = {"parent": [ab.op_seconds(r) for r in parent],
+            "change": [ab.op_seconds(r) for r in change]}
+    rows = ab.summarize_ops(runs)
+    # An operation missing from a run gets no row; medians pool every pass of a side.
+    assert [r["op"] for r in rows] == ["certify ydy", "ups bound"]
+    ydy, bound = rows
+    assert (ydy["parent"], ydy["change"]) == (0.011, 0.012)
+    assert abs(ydy["ratio"] - 0.012 / 0.011) <= 1e-12
+    assert (bound["parent"], bound["change"]) == (0.060, 0.003)
+    assert abs(bound["ratio"] - 0.05) <= 1e-12
+    table = ab.format_op_rows(rows).splitlines()
+    assert table[0].split() == ["operation", "parent", "s", "change", "s", "ratio"]
+    assert table[2].startswith("ups bound") and table[2].split()[-1] == "0.050"

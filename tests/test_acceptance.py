@@ -125,7 +125,9 @@ def test_criterion_4_three_bell_certificates():
     ok = True
     details = []
     for eps in (0.2, 0.6, 0.9):
-        cert, slacks = three_bell_resource_certificate(eps)
+        cert = three_bell_resource_certificate(eps)
+        ens = extend_ensemble(catalog("bell3"), eps)
+        slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
         trace_err = abs(cert.claimed_value - three_bell_value(eps))
         link = three_bell_slack_map_residual(slacks[0], eps)
         conj = max(three_bell_slack_conjugations(slacks))

@@ -115,16 +115,21 @@ def test_bell_conjugation_relations():
         assert np.abs(fixed - phi[3]).max() <= 1e-12
 
 
+def three_bell_slacks(eps):
+    """H - rho_k / 3 for the certificate and the extended ensemble."""
+    cert = three_bell_resource_certificate(eps)
+    ens = extend_ensemble(catalog("bell3"), eps)
+    return [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
+
+
 @pytest.mark.parametrize("eps", [0.2, 0.6, 0.9])
 def test_three_bell_certificate_trace(eps):
-    cert, slacks = three_bell_resource_certificate(eps)
+    cert = three_bell_resource_certificate(eps)
     assert abs(cert.claimed_value - three_bell_value(eps)) <= 1e-12
     assert cert.cone_tag == "sep-dual"
-    assert len(slacks) == 3
-    # slack operators match the certificate against the extended ensemble
-    ens = extend_ensemble(catalog("bell3"), eps)
-    for q, rho in zip(slacks, ens.states):
-        assert np.abs(q - (cert.matrix - rho / 3.0)).max() <= 1e-14
+    # each slack has trace Tr(H) - 1/3
+    for q in three_bell_slacks(eps):
+        assert abs(np.trace(q).real - (three_bell_value(eps) - 1 / 3)) <= 1e-12
 
 
 def test_three_bell_certificate_rejects_endpoints():
@@ -135,16 +140,15 @@ def test_three_bell_certificate_rejects_endpoints():
 
 @pytest.mark.parametrize("eps", [0.2, 0.6, 0.9])
 def test_three_bell_conjugation_and_map_link(eps):
-    _, slacks = three_bell_resource_certificate(eps)
+    slacks = three_bell_slacks(eps)
     c2, c3 = three_bell_slack_conjugations(slacks)
     assert c2 <= 1e-12 and c3 <= 1e-12
     assert three_bell_slack_map_residual(slacks[0], eps) <= 1e-12
 
 
 def test_three_bell_slacks_unrefuted():
-    _, slacks = three_bell_resource_certificate(0.6)
     space = BipartiteSpace(4, 4)
-    for q in slacks:
+    for q in three_bell_slacks(0.6):
         r = block_positivity_search(q, space, restarts=200, seed=5)
         assert r.min_overlap >= -1e-9
 

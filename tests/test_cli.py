@@ -280,18 +280,13 @@ def _scaled(cert, factor):
 
 def test_scaled_bell3_certificate_is_refuted(tmp_path, monkeypatch):
     # H scaled by 1 - 1e-6 has trace below the achievable 14/15; its slacks
-    # (1 - 1e-6) H - rho_k / 3 miss the map identity by about 1e-7. Only H is
-    # scaled: certify forms the slacks from the certificate it reports, not
-    # from the ones the library returns alongside it.
+    # (1 - 1e-6) H - rho_k / 3 miss the map identity by about 1e-7. certify
+    # forms the slacks from the certificate it reports.
     from sepdisc import cli
 
     original = certificates.three_bell_resource_certificate
-
-    def scaled(eps):
-        cert, slacks = original(eps)
-        return _scaled(cert, 1 - 1e-6), slacks
-
-    monkeypatch.setattr(cli, "three_bell_resource_certificate", scaled)
+    monkeypatch.setattr(cli, "three_bell_resource_certificate",
+                        lambda eps: _scaled(original(eps), 1 - 1e-6))
     code, report = run(tmp_path, "certify", "bell3", "--epsilon", "0.6")
     assert code == EXIT_REFUTED
     out = report["outputs"]
@@ -589,7 +584,68 @@ def test_ups_bound_analytic(tmp_path):
     out = report["outputs"]
     assert out["bound"] < 1 - 1.647e-4
     assert abs(out["delta"] - (2 + np.sqrt(2)) / 4) <= 1e-12
+    # The cited constant bounds the slack against z; no search is reported.
+    assert "extra_state_search" not in out
+    assert -1e-13 < out["extra_state_margin_bound"] <= 0
     assert out["outcome"] == "unrefuted"
+
+
+def _z_in_tiles_complement(path):
+    """A unit vector orthogonal to the tiles members, other than the built-in
+    extra state, written as a --z file."""
+    from sepdisc.linalg import orthogonal_complement
+
+    basis = orthogonal_complement([m.vector for m in catalog("tiles").members], 9)
+    z = basis @ np.array([0.5, -0.5j, 0.5, 0.5])
+    path.write_text(json.dumps(encode_vector(z / np.linalg.norm(z))))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "7"], ["--restarts", "5", "--seed", "3"],
+                                   ["--z", "{z}"]],
+                         ids=["defaults", "seed", "restarts-seed", "z-file"])
+def test_ups_bound_analytic_runs_no_search(tmp_path, monkeypatch, flags):
+    searches = _count_calls(monkeypatch, certificates, "block_positivity_search")
+    z = _z_in_tiles_complement(tmp_path / "z.json")
+    argv = [f.format(z=z) for f in flags]
+    code, report = run(tmp_path, "ups", "tiles", "--action", "bound", "--lambda", "analytic",
+                       *argv)
+    assert code == EXIT_OK and report["outputs"]["outcome"] == "unrefuted"
+    assert searches == []
+    # The see-saw flags are checked but not read, so the report lists only those given.
+    given = {flag[2:] for flag in argv[::2]} - {"z"}
+    assert {"restarts", "seed"} & set(report["inputs"]) == given
+
+
+def test_ups_bound_analytic_refutes_a_scaled_certificate(tmp_path, monkeypatch):
+    # H scaled by 1 + 1e-6 moves the slack against z off (Pi - (lam/delta)
+    # zz*) / 6 by about 1e-7, which the margin bound reports as a refutation.
+    import dataclasses
+
+    from sepdisc import cli
+
+    original = cli.ups_plus_state_bound
+
+    def scaled(*args):
+        report = original(*args)
+        return dataclasses.replace(report, certificate=_scaled(report.certificate, 1 + 1e-6))
+
+    monkeypatch.setattr(cli, "ups_plus_state_bound", scaled)
+    code, report = run(tmp_path, "ups", "tiles", "--action", "bound", "--lambda", "analytic")
+    assert code == EXIT_REFUTED and report["outputs"]["outcome"] == "refuted"
+    assert report["outputs"]["extra_state_margin_bound"] < -1e-7
+
+
+@pytest.mark.parametrize("lam, code", [("0.1", EXIT_REFUTED), ("0.01", EXIT_OK)])
+def test_ups_bound_numeric_lambda_is_decided_by_the_search(tmp_path, monkeypatch, lam, code):
+    # A numeric constant is not cited, so the default 1000-restart search
+    # checks it: it finds a violating product vector at 0.1 and none at 0.01.
+    searches = _count_calls(monkeypatch, certificates, "block_positivity_search")
+    got, report = run(tmp_path, "ups", "tiles", "--action", "bound", "--lambda", lam)
+    assert got == code and len(searches) == 1
+    out = report["outputs"]
+    assert (out["extra_state_search"]["min_overlap"] < -1e-9) == (code == EXIT_REFUTED)
+    assert (report["inputs"]["restarts"], report["inputs"]["seed"]) == (1000, 20140829)
 
 
 def test_ups_bound_oversized_lambda_is_refuted(tmp_path):

@@ -13,9 +13,9 @@ from sepdisc.discrimination import (
     measurement_value,
     optimal_global,
     optimal_ppt,
-    sep_bound_from_certificate,
     three_bell_value,
 )
+from sepdisc.certificates import block_positivity_search
 from sepdisc.cli import BELL_BASIS
 from sepdisc.conesolve import DualCertificate
 from sepdisc.linalg import BipartiteSpace, partial_transpose
@@ -177,32 +177,40 @@ def test_closed_forms():
             fn(1.01)
 
 
+def _slack_searches(e, cert, restarts, seed):
+    """The see-saw search on each slack H - p_k rho_k."""
+    h = e.space.check_operator(cert.matrix)
+    return [block_positivity_search(h - p * rho, e.space, restarts, seed)
+            for p, rho in zip(e.probs, e.states)]
+
+
 def test_sep_bound_three_bell_certificate():
     from sepdisc.certificates import three_bell_resource_certificate
-    cert, _ = three_bell_resource_certificate(0.6)
+    cert = three_bell_resource_certificate(0.6)
     ens = extend_ensemble(catalog("bell3"), 0.6)
-    report = sep_bound_from_certificate(ens, cert, restarts=200, seed=3)
-    assert abs(report.bound - 14 / 15) <= 1e-12
-    assert report.unrefuted
+    reports = _slack_searches(ens, cert, restarts=200, seed=3)
+    assert abs(cert.claimed_value - 14 / 15) <= 1e-12
+    assert not any(r.refuted for r in reports)
 
 
 def test_sep_bound_ydy_certificate():
     from sepdisc.certificates import ydy_certificate
 
-    report = sep_bound_from_certificate(catalog("ydy"), ydy_certificate(), restarts=200, seed=3)
-    assert report.bound == 0.75
-    assert report.unrefuted
-    assert len(report.reports) == 4
+    cert = ydy_certificate()
+    reports = _slack_searches(catalog("ydy"), cert, restarts=200, seed=3)
+    assert cert.claimed_value == 0.75
+    assert not any(r.refuted for r in reports)
+    assert len(reports) == 4
 
 
 def test_sep_bound_trivial_certificate():
     e = catalog("bell4")
     p_max = float(e.probs.max())
     cert = DualCertificate(p_max * np.eye(4, dtype=complex), "sep-dual")
-    report = sep_bound_from_certificate(e, cert, restarts=50, seed=7)
-    assert abs(report.bound - 4 * p_max) <= 1e-12
-    assert report.unrefuted
-    for r in report.reports:
+    reports = _slack_searches(e, cert, restarts=50, seed=7)
+    assert abs(cert.claimed_value - 4 * p_max) <= 1e-12
+    assert not any(r.refuted for r in reports)
+    for r in reports:
         assert r.min_overlap >= -1e-9
 
 

@@ -206,8 +206,6 @@ def test_shared_cached_arrays_are_read_only():
         lambda: conesolve.solve_lp_feasibility([np.eye(2)], np.eye(2)),
         lambda: discrimination.local_guess_measurement(catalog("bell4"), np.eye(2), np.eye(2)),
         lambda: discrimination.optimal_global(catalog("bell3")),
-        lambda: discrimination.sep_bound_from_certificate(
-            catalog("ydy"), certificates.ydy_certificate(), restarts=2, seed=0),
         lambda: certificates.block_positivity_search(np.eye(4), BipartiteSpace(2, 2), 2, 0),
         lambda: ups.is_unextendable(catalog("tiles")),
         lambda: ups.replacement_projections(catalog("tiles")),
@@ -216,7 +214,7 @@ def test_shared_cached_arrays_are_read_only():
             catalog("tiles"), tiles_orthogonal_state(), ups.tiles_overlap_constant()),
     ],
     ids=["ProductVector", "UPSet", "Ensemble", "DualCertificate", "SDPProblem", "SDPSolution",
-         "LPFeasibilityResult", "Measurement", "DiscriminationResult", "SepBoundReport",
+         "LPFeasibilityResult", "Measurement", "DiscriminationResult",
          "ConeSearchReport", "UnextendabilityReport", "ReplacementSet",
          "SeparableDiscriminationReport", "UPSBoundReport"],
 )

@@ -120,8 +120,28 @@ def reference_replacements(s):
     return per_index
 
 
+def reference_witness(s):
+    """The unextendability witness with both null spaces recomputed for every
+    split, from all members on the X side down to none."""
+    n = len(s)
+    for mask in reversed(range(2 ** n)):
+        nx = orthogonal_complement([s.members[j].x for j in range(n) if (mask >> j) & 1],
+                                   s.space.dim_x)
+        ny = orthogonal_complement([s.members[j].y for j in range(n) if not (mask >> j) & 1],
+                                   s.space.dim_y)
+        if nx.shape[1] > 0 and ny.shape[1] > 0:
+            return ProductVector(fix_phase(nx[:, 0]), fix_phase(ny[:, 0]))
+    return None
+
+
+def one_member_removed(name):
+    s = catalog(name)
+    return [UPSet(s.space, s.members[:k] + s.members[k + 1:]) for k in range(len(s))]
+
+
 @pytest.mark.parametrize("name", ["tiles", "feng"])
 def test_replacement_null_space_reuse_is_bitwise_identical(name):
+    # The stacked per-size SVDs give each complement to the bit.
     s = catalog(name)
     got = replacement_projections(s).per_index
     want = reference_replacements(s)
@@ -130,6 +150,14 @@ def test_replacement_null_space_reuse_is_bitwise_identical(name):
         for g, w in zip(got_k, want_k):
             assert g.x.tobytes() == w.x.tobytes()
             assert g.y.tobytes() == w.y.tobytes()
+    # So does every witness: the 5 or 8 sets with one member removed are
+    # extendable, and so is the two-member set.
+    sets = one_member_removed(name) + [two_member_extendable_set()]
+    for t in sets:
+        got, want = is_unextendable(t).witness, reference_witness(t)
+        assert got is not None and want is not None
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
 
 
 def test_replacement_rejects_extendable_input():

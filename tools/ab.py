@@ -32,8 +32,9 @@ def result_of(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result of one ``perfbench/run.py --trace 0`` run in ``tree``."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The result of one ``perfbench/run.py --trace 0`` run in ``tree``, and
+    each operation's pass times from the results file it writes."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -42,7 +43,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not proc.stdout.strip():
         raise RuntimeError(f"{tree}: perfbench/run.py exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
-    return result_of(proc.stdout)
+    path = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    return result_of(proc.stdout), op_seconds(json.loads(path.read_text()))
+
+
+def op_seconds(results: dict) -> dict[str, list[float]]:
+    """Operation name -> its untraced pass times, from a results file."""
+    return {op["op"]: op["seconds"] for op in results["ops"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -77,6 +84,28 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     return rows
 
 
+def summarize_ops(runs: dict[str, list[dict]]) -> list[dict]:
+    """One row per operation that every run has, in the parent's order.
+    ``runs`` maps each side to its runs' ``op_seconds``; each side's median is
+    taken over the pass times of all its runs together."""
+    names = [n for n in runs["parent"][0] if all(n in r for side in SIDES for r in runs[side])]
+    rows = []
+    for name in names:
+        med = {side: statistics.median(t for r in runs[side] for t in r[name]) for side in SIDES}
+        rows.append({"op": name, **med,
+                     "ratio": med["change"] / med["parent"] if med["parent"] else float("nan")})
+    return rows
+
+
+def format_op_rows(rows: list[dict]) -> str:
+    width = max([len("operation")] + [len(r["op"]) for r in rows])
+    lines = [f"{'operation':<{width}} {'parent s':>10} {'change s':>10} {'ratio':>7}"]
+    for r in rows:
+        lines.append(f"{r['op']:<{width}} {r['parent']:>10.4g} {r['change']:>10.4g} "
+                     f"{r['ratio']:>7.3f}")
+    return "\n".join(lines)
+
+
 def format_rows(rows: list[dict]) -> str:
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
@@ -104,11 +133,14 @@ def main() -> int:
 
     coin = random.Random(args.seed)
     pairs, incorrect = [], []
+    ops = {side: [] for side in SIDES}
     for i in range(1, args.pairs + 1):
         order = SIDES if coin.random() < 0.5 else SIDES[::-1]
         result = {}
         for side in order:
-            result[side] = run_once(getattr(args, side), args.workload, args.seed, seconds)
+            result[side], times = run_once(getattr(args, side), args.workload, args.seed,
+                                           seconds)
+            ops[side].append(times)
             if result[side].get("correct") is not True:
                 incorrect.append(f"pair {i} {side}")
             print(f"pair {i} {side}: {json.dumps(result[side])}", flush=True)
@@ -116,6 +148,8 @@ def main() -> int:
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
     print(format_rows(summarize(pairs, spec["end_to_end"])))
+    print()
+    print(format_op_rows(summarize_ops(ops)))
     if incorrect:
         print(f"not correct: {', '.join(incorrect)}")
     return 1 if incorrect else 0
