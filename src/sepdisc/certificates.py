@@ -116,13 +116,13 @@ def choi_matrix(apply_fn, dim_x: int, dim_y: int) -> np.ndarray:
 
 def three_bell_resource_certificate(epsilon: float) -> DualCertificate:
     """Separable-measurement dual certificate for discriminating three Bell
-    states assisted by the resource tau(eps), 0 < eps < 1, on the
+    states assisted by the resource tau(eps), 0 <= eps < 1, on the
     (X1 X2):(Y1 Y2) bipartition, with trace (2 + sqrt(1 - eps^2))/3. Its
-    slacks H - rho_k / 3 carry the bound. The endpoint values are covered by
-    :func:`sepdisc.discrimination.three_bell_value`.
+    slacks H - rho_k / 3 carry the bound. At eps = 1, where sqrt(1 - eps^2)
+    = 0, the value is covered by :func:`sepdisc.discrimination.three_bell_value`.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon}")
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     root = math.sqrt(1.0 - epsilon * epsilon)
     phi4 = projector(bell(4))
     tau_op = projector(tau(epsilon))
@@ -269,18 +269,6 @@ def _initial_directions(dim: int, restarts: int, seed: int) -> np.ndarray:
     return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
-def check_search_args(restarts: int, seed: int, dim: int | None = None) -> None:
-    """ValueError unless restarts >= 1 and seed >= 0 and, given the dimension
-    ``dim`` the start vectors are drawn on, unless that draw of 2 * dim
-    doubles per restart fits in physical memory."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if dim is not None and restarts * 16 * dim > PHYSICAL_MEMORY:
-        raise ValueError(f"restarts must fit in memory, got {restarts}")
-
-
 def block_positivity_search(
     h: np.ndarray,
     space: BipartiteSpace,
@@ -294,9 +282,15 @@ def block_positivity_search(
     run in lockstep, and everything is deterministic given (restarts, seed).
     A restart stops after ``MAX_ALTERNATIONS`` alternations, or once one
     lowers its overlap by less than ``ALTERNATION_FTOL``.
-    Raises ValueError unless restarts >= 1, seed >= 0 and the draw fits memory.
+    Raises ValueError unless restarts >= 1, seed >= 0 and the draw of 2 *
+    dim_y doubles per restart fits in physical memory.
     """
-    check_search_args(restarts, seed, space.dim_y)
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if restarts * 16 * space.dim_y > PHYSICAL_MEMORY:
+        raise ValueError(f"restarts must fit in memory, got {restarts}")
     h = require_hermitian(space.check_operator(h))
     nx, ny = space.dim_x, space.dim_y
     h4 = h.reshape(nx, ny, nx, ny)

@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Each subcommand runs one pipeline and emits a machine-readable JSON report
-(complex entries as [re, im] pairs). Reports are deterministic under fixed
-seeds; the timing field is the only part that varies between runs.
+(complex entries as [re, im] pairs). Reports are deterministic; the timing
+field is the only part that varies between runs.
 
 Exit codes: 0 success, 2 input validation (including an input or output
 path that cannot be read or written), 3 solver non-convergence, 4 refuted
 certificate: for ``certify``, a lower bound on some slack's block-positivity
 margin below -PSD_MARGIN_TOL; for ``ups --action bound``, a member slack
-eigenvalue below it, or the extra-state slack's margin bound with
-``--lambda analytic``, or a see-saw witness with a numeric ``--lambda``.
-Only a numeric ``--lambda`` runs a search.
+eigenvalue below it, or the extra-state slack's margin bound. Each outcome
+comes from the certificate's own identities (for the bound, with the cited
+tiles constant); no command runs a see-saw search.
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ import numpy as np
 
 from . import __version__
 from .certificates import (
-    DEFAULT_RESTARTS,
-    DEFAULT_SEED,
     PSD_MARGIN_TOL,
-    block_positivity_search,
     breuer_hall_witness,
-    check_search_args,
     four_bell_certificate_psd_margins,
     four_bell_resource_certificate,
     three_bell_resource_certificate,
@@ -247,10 +243,12 @@ def cmd_discriminate(args) -> tuple[dict, int]:
     return outputs, EXIT_OK
 
 
-def _see_saw_flags(args) -> tuple[int, int]:
-    """--restarts and --seed, with the search defaults for a flag not given."""
-    return (DEFAULT_RESTARTS if args.restarts is None else args.restarts,
-            DEFAULT_SEED if args.seed is None else args.seed)
+def _check_seed(args) -> None:
+    """--seed is read by nothing. It stays, checked, only because the
+    benchmark passes it to ``certify`` and ``ups --action bound``; it goes
+    once the benchmark stops (ROADMAP item 16)."""
+    if args.seed is not None and args.seed < 0:
+        raise InputError(f"seed must be nonnegative, got {args.seed}")
 
 
 # Rounding budget of a float identity residual, in ulps of the largest slack
@@ -335,8 +333,8 @@ def cmd_certify(args) -> tuple[dict, int]:
         raise InputError(f"certify {name} requires --epsilon")
     if not takes_epsilon and args.epsilon is not None:
         raise InputError(f"certify {name} takes no --epsilon")
-    try:  # certify runs no search, but its see-saw flags are still checked
-        check_search_args(*_see_saw_flags(args))
+    _check_seed(args)
+    try:
         ens, cert, checks, margin_bounds = build(args.epsilon)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -374,8 +372,7 @@ def _enumerating(algorithm, name: str, ups_set: UPSet):
 
 def cmd_ups(args) -> tuple[dict, int]:
     if args.action != "bound":
-        for flag, value in (("--lambda", args.lam), ("--z", args.z),
-                            ("--restarts", args.restarts), ("--seed", args.seed)):
+        for flag, value in (("--lambda", args.lam), ("--z", args.z), ("--seed", args.seed)):
             if value is not None:
                 raise InputError(f"ups --action {args.action} takes no {flag}")
     name = args.family
@@ -417,66 +414,33 @@ def cmd_ups(args) -> tuple[dict, int]:
 
     if args.lam is None:
         raise InputError("the bound action requires --lambda")
-    analytic = args.lam == "analytic"
-    if analytic:
-        if name != "tiles":
-            raise InputError("--lambda analytic is only defined for the tiles set")
-        lam = tiles_overlap_constant()
-        try:  # the analytic bound runs no search, but its see-saw flags are still checked
-            check_search_args(*_see_saw_flags(args), ups_set.space.dim_y)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    else:  # a numeric --lambda is checked by the search: record its defaults
-        args.restarts, args.seed = _see_saw_flags(args)
-        try:
-            lam = float(args.lam)
-        except ValueError as exc:
-            raise InputError(f"bad --lambda value {args.lam!r}") from exc
-    if args.z is not None:
-        z = load_vector(args.z)
-    elif name == "tiles":
-        z = tiles_orthogonal_state()
-    else:
-        raise InputError("the bound action requires --z for this input")
+    if name != "tiles":
+        raise InputError("--lambda analytic is only defined for the tiles set")
+    _check_seed(args)
+    lam = tiles_overlap_constant()
+    z = tiles_orthogonal_state() if args.z is None else load_vector(args.z)
     try:
         report = ups_plus_state_bound(ups_set, z, lam)
     except ExtraStateError as exc:  # only a --z file can fail these checks
         raise InputError(f"{args.z}: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     n = len(ups_set)
     zz = projector(z)
     slack = report.certificate.matrix - zz / (n + 1)
+    # For unit product v, <v|Pi|v> >= lam (the cited constant) and
+    # |<v|z>|^2 <= delta, so (Pi - (lam/delta) zz*) / (n+1) is block
+    # positive. lam/delta <= dim_y lam, so the few-ulp errors of lam and
+    # delta move its entries by far less than the rounding budget.
+    exact = (ups_set.projector_sum() - (lam / report.delta) * zz) / (n + 1)
+    [margin] = _margin_bounds([float(np.abs(slack - exact).max())], [slack])
     outputs = {
         "lambda": lam,
         "delta": report.delta,
         "bound": report.bound,
         "claimed_trace": report.certificate.claimed_value,
         "member_slack_min_eigenvalue": report.psd_margin,
+        "extra_state_margin_bound": margin,
     }
-    if analytic:
-        # For unit product v, <v|Pi|v> >= lam (the cited constant) and
-        # |<v|z>|^2 <= delta, so (Pi - (lam/delta) zz*) / (n+1) is block
-        # positive. lam/delta <= dim_y lam, so the few-ulp errors of lam and
-        # delta move its entries by far less than the rounding budget.
-        exact = (ups_set.projector_sum() - (lam / report.delta) * zz) / (n + 1)
-        [margin] = _margin_bounds([float(np.abs(slack - exact).max())], [slack])
-        outputs["extra_state_margin_bound"] = margin
-        refuted = margin < -PSD_MARGIN_TOL
-    else:
-        try:
-            search = block_positivity_search(slack * (n + 1), ups_set.space, args.restarts, args.seed)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        outputs["extra_state_search"] = {
-            "min_overlap": search.min_overlap,
-            "iterations": search.iterations_per_restart,
-            "witness_x": encode_vector(search.witness.x),
-            "witness_y": encode_vector(search.witness.y),
-            "refuted": search.refuted,
-        }
-        refuted = search.refuted
-    refuted = refuted or report.psd_margin < -PSD_MARGIN_TOL
+    refuted = margin < -PSD_MARGIN_TOL or report.psd_margin < -PSD_MARGIN_TOL
     outputs["outcome"] = "refuted" if refuted else "unrefuted"
     return outputs, EXIT_REFUTED if refuted else EXIT_OK
 
@@ -495,12 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, see_saw: bool):
-        # None unless given, and then left out of the report: only `ups
-        # --action bound` reads them, `certify` checks them, and the other
-        # ups actions reject them.
-        if see_saw:
-            p.add_argument("--restarts", type=int)
+    def common(p, seed: bool):
+        # --seed is None unless given, and then left out of the report (see
+        # _check_seed); the ups actions other than bound reject it.
+        if seed:
             p.add_argument("--seed", type=int)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -510,23 +472,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="resource entanglement parameter")
     p.add_argument("--prior", help="comma-separated prior probabilities")
     p.add_argument("--log-iterates", help="write the solver iterate log here")
-    common(p, see_saw=False)
+    common(p, seed=False)
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("certify", help="build and score a dual certificate")
     p.add_argument("name", choices=tuple(CERTIFICATES))
     p.add_argument("--epsilon", type=float)
-    common(p, see_saw=True)
+    common(p, seed=True)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("ups", help="unextendable-product-set pipelines")
     p.add_argument("family", help="tiles, feng, or a product-set file")
     p.add_argument("--action", choices=("check", "enumerate", "separable", "bound"),
                    default="check")
-    p.add_argument("--lambda", dest="lam",
-                   help="certified overlap constant (a float, or 'analytic' for tiles)")
+    p.add_argument("--lambda", dest="lam", choices=("analytic",),
+                   help="certified overlap constant: the cited one for tiles")
     p.add_argument("--z", help="file holding the extra orthogonal state for 'bound'")
-    common(p, see_saw=True)
+    common(p, seed=True)
     p.set_defaults(func=cmd_ups)
 
     return parser

@@ -56,8 +56,8 @@ class _Complements:
     """Complements of one side's factors per member subset, keyed by bitmask
     (bit j for member j). A size's first lookup fills all its subsets with
     one stacked SVD of the factors in increasing member order; a stacked SVD
-    runs the same LAPACK routine per matrix, so each complement is
-    ``orthogonal_complement``'s to the bit."""
+    runs the same LAPACK routine per matrix, so each complement is, to the
+    bit, that of one SVD of that subset's factors alone."""
 
     def __init__(self, s: UPSet, side: str):
         self._rows = np.array([getattr(m, side) for m in s.members]).conj()

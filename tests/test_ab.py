@@ -6,9 +6,9 @@ import pathlib
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "ab.py"
 METRICS = [
-    {"name": "pass_s", "better": "lower"},
-    {"name": "ok_rate", "better": "higher"},
-    {"name": "peak_rss_mb", "better": "lower"},
+    {"name": "pass_s", "better": "lower", "bound": 0.25},
+    {"name": "ok_rate", "better": "higher", "bound": 0.01},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.2},
 ]
 
 
@@ -49,6 +49,34 @@ def test_summary_of_canned_runs():
     assert table[0].split()[0] == "metric"
     assert table[1].split()[0] == "pass_s" and table[1].endswith("4/5")
     assert table[2].endswith("0/5")
+
+
+def _result(**values):
+    return {"correct": True, "metrics": {k: {"value": v} for k, v in values.items()}}
+
+
+def test_verdict_per_metric_of_canned_runs():
+    ab = _load_tool()
+    metrics = [{"name": "pass_s", "better": "lower", "bound": 0.25},
+               {"name": "setup_s", "better": "lower", "bound": 0.25},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.2},
+               {"name": "ok_rate", "better": "higher", "bound": 0.01}]
+    # pass_s: every change run below every parent run. setup_s: the parent's
+    # quartiles 0.105 and 0.134 lie 0.029 apart, more than 0.25 x 0.11, so a
+    # +27% median reads unresolved. peak_rss_mb: +25% against a 0.2 bound.
+    parent = dict(pass_s=[0.50, 0.40, 0.60, 0.45, 0.55], setup_s=[0.105, 0.11, 0.134, 0.10, 0.14],
+                  peak_rss_mb=[40.0, 40.5, 39.5, 40.0, 40.0], ok_rate=[1.0] * 5)
+    change = dict(pass_s=[0.30, 0.35, 0.20, 0.25, 0.39], setup_s=[0.14, 0.13, 0.15, 0.14, 0.12],
+                  peak_rss_mb=[50.0] * 5, ok_rate=[1.0] * 5)
+    pairs = [(_result(**{k: v[i] for k, v in parent.items()}),
+              _result(**{k: v[i] for k, v in change.items()})) for i in range(5)]
+    rows = ab.summarize(pairs, metrics)
+    assert [(r["metric"], r["verdict"]) for r in rows] == [
+        ("pass_s", "better"), ("setup_s", "unresolved"), ("peak_rss_mb", "worse"),
+        ("ok_rate", "ok")]
+    table = ab.format_rows(rows).splitlines()
+    assert table[0].split()[-2:] == ["verdict", "wins"]
+    assert [line.split()[-2] for line in table[1:]] == ["better", "unresolved", "worse", "ok"]
 
 
 def test_quartiles_of_one_run():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sepdisc import certificates
 from sepdisc.certificates import (
     _initial_directions,
     adjugate_map,
@@ -133,9 +134,12 @@ def test_three_bell_certificate_trace(eps):
 
 
 def test_three_bell_certificate_rejects_endpoints():
-    for eps in (0.0, 1.0, -0.2, 1.2):
-        with pytest.raises(ValueError):
+    # eps = 1 is excluded, because r = sqrt(1 - eps^2) = 0 there; eps = 0 is
+    # not, since the map-link parameter t = (1 + eps) / r stays finite.
+    for eps in (1.0, -0.2, 1.2, float("nan")):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
             three_bell_resource_certificate(eps)
+    assert abs(three_bell_resource_certificate(0.0).claimed_value - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.6, 0.9])
@@ -304,3 +308,14 @@ def test_initial_directions_are_prefix_stable_unit_rows():
 def test_search_rejects_bad_restarts_and_seed(restarts, seed, message):
     with pytest.raises(ValueError, match=message):
         block_positivity_search(np.eye(4, dtype=complex), SP22, restarts=restarts, seed=seed)
+
+
+def test_search_rejects_restarts_beyond_memory_before_drawing(monkeypatch):
+    # 10**15 restarts of 2 * dim_y doubles exceed physical memory: the check
+    # fails before any start vector is drawn.
+    def no_draw(*args):
+        pytest.fail("start vectors drawn")
+
+    monkeypatch.setattr(certificates, "_initial_directions", no_draw)
+    with pytest.raises(ValueError, match="^restarts must fit in memory, got 1000000000000000$"):
+        block_positivity_search(np.eye(4, dtype=complex), SP22, restarts=10**15, seed=1)

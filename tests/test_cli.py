@@ -1,6 +1,5 @@
 import json
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +38,14 @@ def run(tmp_path, *argv):
     code = main([*argv, "--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+def run_or_exit(tmp_path, *argv):
+    """run, with argparse's own rejection (SystemExit) returned as the code."""
+    try:
+        return run(tmp_path, *argv)
+    except SystemExit as exc:
+        return exc.code, None
 
 
 def test_complex_codec_roundtrip(rng):
@@ -168,12 +175,13 @@ def test_unknown_family(tmp_path):
     assert code == EXIT_INPUT
 
 
-def test_certify_requires_epsilon(tmp_path):
+def test_certify_requires_epsilon(tmp_path, capsys):
     code, _ = run(tmp_path, "certify", "bell3")
     assert code == EXIT_INPUT
-    # the three-Bell construction excludes the endpoints
-    code, _ = run(tmp_path, "certify", "bell3", "--epsilon", "0")
-    assert code == EXIT_INPUT
+    # the three-Bell construction excludes eps = 1, where r = 0
+    code, report = run(tmp_path, "certify", "bell3", "--epsilon", "1")
+    assert code == EXIT_INPUT and report is None
+    assert capsys.readouterr().err.endswith("error: epsilon must lie in [0, 1), got 1.0\n")
 
 
 def test_certify_bell4_rejects_epsilon_out_of_range(tmp_path, capsys):
@@ -190,9 +198,7 @@ def test_certify_ydy_rejects_epsilon(tmp_path, capsys):
 
 
 def test_certify_bell3(tmp_path):
-    code, report = run(
-        tmp_path, "certify", "bell3", "--epsilon", "0.6", "--restarts", "60"
-    )
+    code, report = run(tmp_path, "certify", "bell3", "--epsilon", "0.6")
     assert code == EXIT_OK
     out = report["outputs"]
     assert abs(out["claimed_trace"] - 14 / 15) <= 1e-12
@@ -217,7 +223,7 @@ def test_certify_four_bell_endpoint(tmp_path):
 def test_certify_reports_its_bracket(tmp_path, argv):
     # The local protocol's value is the lower end, the certificate's trace the
     # upper end, and for these families the two meet.
-    code, report = run(tmp_path, "certify", *argv, "--restarts", "20")
+    code, report = run(tmp_path, "certify", *argv)
     assert code == EXIT_OK
     out = report["outputs"]
     assert list(out)[:2] == ["claimed_trace", "protocol_value"]
@@ -267,11 +273,11 @@ def test_certify_runs_no_search(tmp_path, monkeypatch, argv):
     code, report = run(tmp_path, "certify", *argv)
     assert code == EXIT_OK and report["outputs"]["outcome"] == "unrefuted"
     assert searches == []
-    # --restarts and --seed are not read, so the report lists them only when given.
-    assert "restarts" not in report["inputs"] and "seed" not in report["inputs"]
-    code, report = run(tmp_path, "certify", *argv, "--restarts", "5", "--seed", "3")
+    # --seed is not read, so the report lists it only when given.
+    assert "seed" not in report["inputs"]
+    code, report = run(tmp_path, "certify", *argv, "--seed", "3")
     assert code == EXIT_OK
-    assert (report["inputs"]["restarts"], report["inputs"]["seed"]) == (5, 3)
+    assert report["inputs"]["seed"] == 3
 
 
 def _scaled(cert, factor):
@@ -308,11 +314,12 @@ def test_scaled_ydy_certificate_is_refuted(tmp_path, monkeypatch):
     assert max(out["slack_margin_bounds"]) < -1e-7
 
 
-@pytest.mark.parametrize("eps", ["1e-9", "0.9999999", "0.99999999", "0.9999999995"])
+@pytest.mark.parametrize("eps", ["0", "1e-9", "0.9999999", "0.99999999", "0.9999999995"])
 def test_certify_bell3_near_the_ends(tmp_path, eps):
     # Near eps = 1 the map-link reference cancels in 1 - eps^2; taken as
     # (1 + eps) / r its residual stays at roundoff (1e-14 or less) instead
     # of reaching 4.6e-11 at 0.99999999 and refuting a valid certificate.
+    # At eps = 0 the certificate is valid too, with t = 1.
     code, report = run(tmp_path, "certify", "bell3", "--epsilon", eps)
     assert code == EXIT_OK
     out = report["outputs"]
@@ -322,8 +329,8 @@ def test_certify_bell3_near_the_ends(tmp_path, eps):
 
 
 def test_certify_ydy_deterministic(tmp_path):
-    code1, rep1 = run(tmp_path, "certify", "ydy", "--restarts", "50", "--seed", "77")
-    code2, rep2 = run(tmp_path, "certify", "ydy", "--restarts", "50", "--seed", "77")
+    code1, rep1 = run(tmp_path, "certify", "ydy", "--seed", "77")
+    code2, rep2 = run(tmp_path, "certify", "ydy", "--seed", "77")
     assert code1 == code2 == EXIT_OK
     assert rep1["outputs"] == rep2["outputs"]
     assert rep1["outputs"]["claimed_trace"] == 0.75
@@ -331,37 +338,20 @@ def test_certify_ydy_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["certify", "bell3", "--epsilon", "0.5", "--restarts", "0"],
-         "restarts must be at least 1, got 0"),
-        (["certify", "bell3", "--epsilon", "0.5", "--restarts", "-5"],
-         "restarts must be at least 1, got -5"),
-        (["certify", "bell3", "--epsilon", "0.5", "--seed", "-1"],
-         "seed must be nonnegative, got -1"),
-        (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--restarts", "0"],
-         "restarts must be at least 1, got 0"),
-        # Start vectors larger than the address space: the draw fails at once,
-        # before any memory is touched. certify draws nothing, so only ups,
-        # with a numeric and with the analytic --lambda.
-        (["ups", "tiles", "--action", "bound", "--lambda", "0.0008",
-          "--restarts", "1000000000000000"],
-         "restarts must fit in memory, got 1000000000000000"),
-        (["ups", "tiles", "--action", "bound", "--lambda", "analytic",
-          "--restarts", "1000000000000000"],
-         "restarts must fit in memory, got 1000000000000000"),
-        # certify runs no search, but its flags are checked all the same.
-        (["certify", "bell4", "--epsilon", "0.5", "--restarts", "0"],
-         "restarts must be at least 1, got 0"),
-        (["certify", "bell4", "--epsilon", "0.5", "--seed", "-1"],
-         "seed must be nonnegative, got -1"),
-    ],
+    "argv",
+    [["certify", "bell3", "--epsilon", "0.5"], ["certify", "bell4", "--epsilon", "0.5"],
+     ["certify", "ydy"], ["ups", "tiles", "--action", "bound", "--lambda", "analytic"]],
+    ids=["bell3", "bell4", "ydy", "ups-bound"],
 )
-def test_see_saw_flags_rejected(tmp_path, capsys, argv, message):
-    # exit 2 with a one-line message and no traceback
-    code, report = run(tmp_path, *argv)
+def test_see_saw_flags_rejected(tmp_path, capsys, argv):
+    # No command runs a see-saw: --seed is checked but read by nothing, and
+    # --restarts is no flag at all. Each ends in exit 2 with no report.
+    code, report = run(tmp_path, *argv, "--seed", "-1")
     assert code == EXIT_INPUT and report is None
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    code, report = run_or_exit(tmp_path, *argv, "--restarts", "2")
+    assert code == EXIT_INPUT and report is None
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --restarts 2\n")
 
 
 def _bare_number_ensemble(path):
@@ -576,10 +566,7 @@ def test_ups_separable(tmp_path):
 
 
 def test_ups_bound_analytic(tmp_path):
-    code, report = run(
-        tmp_path, "ups", "tiles", "--action", "bound", "--lambda", "analytic",
-        "--restarts", "100",
-    )
+    code, report = run(tmp_path, "ups", "tiles", "--action", "bound", "--lambda", "analytic")
     assert code == EXIT_OK
     out = report["outputs"]
     assert out["bound"] < 1 - 1.647e-4
@@ -593,7 +580,7 @@ def test_ups_bound_analytic(tmp_path):
 def _z_in_tiles_complement(path):
     """A unit vector orthogonal to the tiles members, other than the built-in
     extra state, written as a --z file."""
-    from sepdisc.linalg import orthogonal_complement
+    from test_ups import orthogonal_complement
 
     basis = orthogonal_complement([m.vector for m in catalog("tiles").members], 9)
     z = basis @ np.array([0.5, -0.5j, 0.5, 0.5])
@@ -601,9 +588,8 @@ def _z_in_tiles_complement(path):
     return str(path)
 
 
-@pytest.mark.parametrize("flags", [[], ["--seed", "7"], ["--restarts", "5", "--seed", "3"],
-                                   ["--z", "{z}"]],
-                         ids=["defaults", "seed", "restarts-seed", "z-file"])
+@pytest.mark.parametrize("flags", [[], ["--seed", "7"], ["--z", "{z}"]],
+                         ids=["defaults", "seed", "z-file"])
 def test_ups_bound_analytic_runs_no_search(tmp_path, monkeypatch, flags):
     searches = _count_calls(monkeypatch, certificates, "block_positivity_search")
     z = _z_in_tiles_complement(tmp_path / "z.json")
@@ -612,9 +598,8 @@ def test_ups_bound_analytic_runs_no_search(tmp_path, monkeypatch, flags):
                        *argv)
     assert code == EXIT_OK and report["outputs"]["outcome"] == "unrefuted"
     assert searches == []
-    # The see-saw flags are checked but not read, so the report lists only those given.
-    given = {flag[2:] for flag in argv[::2]} - {"z"}
-    assert {"restarts", "seed"} & set(report["inputs"]) == given
+    # --seed is checked but not read, so the report lists it only when given.
+    assert ("seed" in report["inputs"]) == ("--seed" in argv)
 
 
 def test_ups_bound_analytic_refutes_a_scaled_certificate(tmp_path, monkeypatch):
@@ -636,79 +621,50 @@ def test_ups_bound_analytic_refutes_a_scaled_certificate(tmp_path, monkeypatch):
     assert report["outputs"]["extra_state_margin_bound"] < -1e-7
 
 
-@pytest.mark.parametrize("lam, code", [("0.1", EXIT_REFUTED), ("0.01", EXIT_OK)])
-def test_ups_bound_numeric_lambda_is_decided_by_the_search(tmp_path, monkeypatch, lam, code):
-    # A numeric constant is not cited, so the default 1000-restart search
-    # checks it: it finds a violating product vector at 0.1 and none at 0.01.
-    searches = _count_calls(monkeypatch, certificates, "block_positivity_search")
-    got, report = run(tmp_path, "ups", "tiles", "--action", "bound", "--lambda", lam)
-    assert got == code and len(searches) == 1
-    out = report["outputs"]
-    assert (out["extra_state_search"]["min_overlap"] < -1e-9) == (code == EXIT_REFUTED)
-    assert (report["inputs"]["restarts"], report["inputs"]["seed"]) == (1000, 20140829)
-
-
-def test_ups_bound_oversized_lambda_is_refuted(tmp_path):
-    # a constant far above the true minimum must be caught by the search
-    code, report = run(
-        tmp_path, "ups", "tiles", "--action", "bound", "--lambda", "0.5",
-        "--restarts", "100",
-    )
-    assert code == EXIT_REFUTED
-    assert report["outputs"]["outcome"] == "refuted"
-    assert report["outputs"]["extra_state_search"]["min_overlap"] < -1e-9
-
-
-def test_ups_bound_requires_lambda(tmp_path):
+def test_ups_bound_requires_lambda(tmp_path, capsys):
     code, _ = run(tmp_path, "ups", "tiles", "--action", "bound")
     assert code == EXIT_INPUT
-    code, _ = run(tmp_path, "ups", "feng", "--action", "bound", "--lambda", "analytic")
-    assert code == EXIT_INPUT
-
-
-def test_ups_bound_requires_z_beyond_tiles(tmp_path, capsys):
-    # Only tiles has a built-in extra state.
-    code, report = run(tmp_path, "ups", "feng", "--action", "bound", "--lambda", "0.001")
+    # Only tiles has a cited constant (and a built-in extra state).
+    code, report = run(tmp_path, "ups", "feng", "--action", "bound", "--lambda", "analytic")
     assert code == EXIT_INPUT and report is None
-    assert capsys.readouterr().err == "error: the bound action requires --z for this input\n"
+    assert capsys.readouterr().err.endswith(
+        "error: --lambda analytic is only defined for the tiles set\n")
 
 
-def test_ups_bound_rejects_non_finite_lambda(tmp_path, capsys):
-    for lam in ("nan", "inf"):
-        code, report = run(tmp_path, "ups", "tiles", "--action", "bound", "--lambda", lam)
-        assert code == EXIT_INPUT and report is None
-        err = capsys.readouterr().err
-        assert err == f"error: lam must be finite and positive, got {lam}\n"
-
-
-def test_ups_bound_rejects_overflowing_lambda(tmp_path, capsys):
-    # lam / delta would overflow to inf and fill the certificate with NaN.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, report = run(
-            tmp_path, "ups", "tiles", "--action", "bound", "--lambda=1.7976931348623157e+308"
-        )
+@pytest.mark.parametrize("lam", ["0.1", "0.01", "nan", "inf", "1e300", "nonsense"])
+def test_ups_bound_lambda_takes_only_analytic(tmp_path, capsys, lam):
+    # A typed-in constant is not cited, so no value but 'analytic' is taken.
+    code, report = run_or_exit(tmp_path, "ups", "tiles", "--action", "bound", f"--lambda={lam}")
     assert code == EXIT_INPUT and report is None
-    err = capsys.readouterr().err
-    assert err.startswith("error: lam 1.7976931348623157e+308 is too large: ")
-    assert err.count("\n") == 1
-    # A huge but finite ratio still builds a certificate, which the search refutes.
-    code, report = run(
-        tmp_path, "ups", "tiles", "--action", "bound", "--lambda=1e300", "--restarts", "20"
-    )
-    assert code == EXIT_REFUTED and report["outputs"]["outcome"] == "refuted"
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"error: argument --lambda: invalid choice: '{lam}'" in last
+
+
+def _flag_case(flag, value, message):
+    return pytest.param(flag, value, message, id=f"{flag}-{value}")
 
 
 @pytest.mark.parametrize("action", ["check", "enumerate", "separable"])
-@pytest.mark.parametrize("flag, value", [("--lambda", "nonsense"), ("--z", "missing.json"),
-                                         ("--restarts", "2"), ("--seed", "3")])
-def test_bound_flags_rejected_by_other_ups_actions(tmp_path, capsys, action, flag, value):
-    # --lambda and --z, and the see-saw's --restarts and --seed, act only
-    # with --action bound; elsewhere they are rejected, not ignored and
-    # recorded.
-    code, report = run(tmp_path, "ups", "tiles", "--action", action, flag, value)
+@pytest.mark.parametrize("flag, value, message", [
+    _flag_case("--lambda", "analytic", None),
+    _flag_case("--z", "missing.json", None),
+    _flag_case("--seed", "3", None),
+    # argparse itself rejects a --lambda other than 'analytic', and
+    # --restarts, which no command takes, whatever the action.
+    _flag_case("--lambda", "nonsense", "argument --lambda: invalid choice: 'nonsense'"),
+    _flag_case("--restarts", "2", "unrecognized arguments: --restarts 2"),
+])
+def test_bound_flags_rejected_by_other_ups_actions(tmp_path, capsys, action, flag, value,
+                                                   message):
+    # --lambda, --z and --seed act only with --action bound; elsewhere they
+    # are rejected, not ignored and recorded.
+    code, report = run_or_exit(tmp_path, "ups", "tiles", "--action", action, flag, value)
     assert code == EXIT_INPUT and report is None
-    assert capsys.readouterr().err == f"error: ups --action {action} takes no {flag}\n"
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == f"error: ups --action {action} takes no {flag}\n"
+    else:
+        assert f"error: {message}" in err.splitlines()[-1]
 
 
 def write_product_set(path, dims, pairs):

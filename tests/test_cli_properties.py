@@ -88,7 +88,7 @@ priors = st.one_of(
 
 
 # Each flag goes through the cheapest command that reads it (a 4-dim global
-# solve, two see-saw restarts); each test takes under a second on a 2-vCPU host.
+# solve, a certificate check); each test takes under a second on a 2-vCPU host.
 @settings(max_examples=40, deadline=None, database=None)
 @given(priors)
 @example("0.0,1.0,2.225073858507203e-309")  # a subnormal step-length eigenvalue
@@ -99,13 +99,13 @@ def test_prior_values_end_in_an_exit_code(prior):
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.sampled_from(["bell3", "bell4"]), st.one_of(unit_floats, flag_values))
 def test_epsilon_values_end_in_an_exit_code(name, epsilon):
-    assert_clean_exit(["certify", name, f"--epsilon={epsilon}", "--restarts", "2"])
+    assert_clean_exit(["certify", name, f"--epsilon={epsilon}"])
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.one_of(unit_floats, flag_values))
 def test_lambda_values_end_in_an_exit_code(lam):
-    assert_clean_exit(["ups", "tiles", "--action", "bound", f"--lambda={lam}", "--restarts", "2"])
+    assert_clean_exit(["ups", "tiles", "--action", "bound", f"--lambda={lam}"])
 
 
 # -- Fuzzed ensemble and product-set files --------------------------------------
@@ -152,14 +152,12 @@ VALID_FILES = {
     },
     "z": [_pair(c) for c in tiles_orthogonal_state()],
 }
-# Each command that reads a file, with the kind of file it reads; the bound's
-# see-saw runs two restarts.
+# Each command that reads a file, with the kind of file it reads.
 FILE_ARGV = [
     ("ensemble", ["discriminate", "{path}", "--class", "global"]),
     ("ensemble", ["discriminate", "{path}", "--class", "ppt"]),
     ("product_set", ["ups", "{path}", "--action", "check"]),
-    ("z", ["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--z", "{path}",
-           "--restarts", "2"]),
+    ("z", ["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--z", "{path}"]),
 ]
 
 

@@ -640,7 +640,8 @@ def test_dual_certificate_trace():
         ("certificates", "breuer_hall_witness", ["u", "v"]),
         ("linalg", "require_hermitian", ["a"]),
         ("conesolve", "solve_sdp", ["problem"]),
-        ("linalg", "orthogonal_complement", ["vectors", "dim"]),
+        # The split search's rank cutoff, NULL_SPACE_RTOL, is no keyword either.
+        ("ups", "is_unextendable", ["s"]),
         ("states", "fix_phase", ["v"]),
     ],
 )

@@ -1,3 +1,6 @@
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from feng_fixture import EXPECTED_REPLACEMENTS
 from sepdisc.certificates import block_positivity_search
 from sepdisc import conesolve
 from sepdisc.conesolve import verify_farkas
-from sepdisc.linalg import BipartiteSpace, orthogonal_complement
+from sepdisc.linalg import NULL_SPACE_RTOL, BipartiteSpace, DimensionMismatchError
 from sepdisc.states import ProductVector, UPSet, catalog, fix_phase, projector, tiles_orthogonal_state
 from sepdisc.ups import (
     DEDUP_OVERLAP,
@@ -94,6 +97,34 @@ def test_replacement_matches_frozen_feng_lists():
                 for cu, cv in expected
             )
             assert best >= 1 - 1e-9
+
+
+def orthogonal_complement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
+    """Orthonormal basis (columns) of the space orthogonal to all ``vectors``:
+    the per-subset reference of the stacked split search.
+
+    Membership threshold: singular values below ``NULL_SPACE_RTOL`` times the
+    largest are treated as zero.
+    """
+    if not vectors:
+        return np.eye(dim, dtype=complex)
+    m = np.array([np.asarray(v, dtype=complex).conj() for v in vectors])
+    if m.shape[1] != dim:
+        raise DimensionMismatchError("vector length does not match dim")
+    _, sv, vh = np.linalg.svd(m)
+    cutoff = NULL_SPACE_RTOL * (sv[0] if sv.size else 1.0)
+    rank = int(np.sum(sv > cutoff))
+    return vh[rank:].conj().T
+
+
+def test_orthogonal_complement():
+    basis = orthogonal_complement([np.array([1, 0, 0], dtype=complex)], 3)
+    assert basis.shape == (3, 2)
+    assert np.allclose(basis[0], 0)
+    assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-14)
+    assert orthogonal_complement([np.eye(2, dtype=complex)[i] for i in range(2)], 2).shape[1] == 0
+    # Its threshold is the module constant the split search uses, not a keyword.
+    assert list(inspect.signature(orthogonal_complement).parameters) == ["vectors", "dim"]
 
 
 def reference_replacements(s):
@@ -269,6 +300,18 @@ def test_bound_extra_state_slack_unrefuted():
     assert search.min_overlap >= -1e-9
 
 
+@pytest.mark.parametrize("lam, refuted", [(0.1, True), (0.5, True), (0.01, False)])
+def test_tiles_extra_state_slack_search(lam, refuted):
+    # A typed-in constant is not cited: the default 1000-restart search finds
+    # a product vector v with <v|S_z|v> < 0 at 0.1 and 0.5, and none at 0.01.
+    s, z = catalog("tiles"), tiles_orthogonal_state()
+    report = ups_plus_state_bound(s, z, lam)
+    slack = (len(s) + 1) * report.certificate.matrix - projector(z)
+    search = block_positivity_search(slack, s.space)
+    assert search.refuted == refuted
+    assert (search.min_overlap < -1e-9) == refuted
+
+
 def test_enumeration_size_cap():
     e5 = np.eye(5, dtype=complex)
     members = tuple(pv(e5[i], e5[j]) for i in range(5) for j in range(5))[:21]
@@ -290,3 +333,21 @@ def test_bound_input_validation():
     bad[0] = 1.0  # |0>|0> is not orthogonal to the tiles members
     with pytest.raises(ValueError):
         ups_plus_state_bound(s, bad, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (float("nan"), "lam must be finite and positive, got nan"),
+        (float("inf"), "lam must be finite and positive, got inf"),
+        # lam / delta would overflow to inf and fill the certificate with NaN.
+        (1.7976931348623157e308, "lam 1.7976931348623157e+308 is too large: lam / delta overflows"),
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_bound_rejects_non_finite_and_overflowing_lambda(lam, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            ups_plus_state_bound(catalog("tiles"), tiles_orthogonal_state(), lam)
+    assert str(exc.value).startswith(message)

@@ -9,9 +9,10 @@ drawn from a generator seeded with ``--seed`` decides which side runs first,
 so host drift does not favour either side. Each run's last stdout line is
 printed as it arrives. At the end, for every end-to-end
 metric that ``BENCHMARK.json`` declares, one row gives each side's median and
-quartiles, the change/parent ratio of the medians, and the pairs in which the
-change was better in the metric's declared direction. A run that reports
-``correct`` other than true is counted and named at the end.
+quartiles, the change/parent ratio of the medians, a verdict against the
+metric's ``bound`` (see ``verdict``), and the pairs in which the change was
+better in the metric's declared direction. A run that reports ``correct``
+other than true is counted and named at the end.
 """
 
 from __future__ import annotations
@@ -60,10 +61,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """The no-regression reading of one metric; ``sign`` is 1 when lower is
+    better and -1 when higher is. "better" when every change run beats every
+    parent run; else "unresolved" when the parent's quartile spread exceeds
+    ``bound`` times its median; else "worse" when the change's median is
+    worse than the parent's by more than ``bound`` times the parent's
+    median; else "ok"."""
+    (p1, pm, p3), cm = quartiles(parent), quartiles(change)[1]
+    if all(sign * (c - p) < 0 for c in change for p in parent):
+        return "better"
+    if p3 - p1 > bound * abs(pm):
+        return "unresolved"
+    if sign * (cm - pm) > bound * abs(pm):
+        return "worse"
+    return "ok"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per declared metric present in every run. ``pairs`` holds
     (parent result, change result); ``metrics`` the BENCHMARK.json entries,
-    each with a name and ``better`` of "lower" or "higher"."""
+    each with a name, ``better`` of "lower" or "higher", and ``bound``."""
     rows = []
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
@@ -78,6 +96,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
             "parent": pq,
             "change": cq,
             "ratio": cq[1] / pq[1] if pq[1] else float("nan"),
+            "verdict": verdict(parent, change, sign, metric["bound"]),
             "wins": wins,
             "pairs": len(pairs),
         })
@@ -111,10 +130,10 @@ def format_rows(rows: list[dict]) -> str:
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
     lines = [f"{'metric':<12} {'parent median [q1, q3]':<32} "
-             f"{'change median [q1, q3]':<32} {'ratio':>7}  wins"]
+             f"{'change median [q1, q3]':<32} {'ratio':>7}  {'verdict':<10}  wins"]
     for r in rows:
         lines.append(f"{r['metric']:<12} {side(r['parent']):<32} {side(r['change']):<32} "
-                     f"{r['ratio']:>7.3f}  {r['wins']}/{r['pairs']}")
+                     f"{r['ratio']:>7.3f}  {r['verdict']:<10}  {r['wins']}/{r['pairs']}")
     return "\n".join(lines)
 
 
