@@ -124,6 +124,23 @@ def partial_trace(a: np.ndarray, dim_x: int, dim_y: int) -> np.ndarray:
     return np.trace(_split(a, dim_x, dim_y), axis1=0, axis2=2)
 
 
+def orthogonal_complement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
+    """Orthonormal basis (columns) of the space orthogonal to all ``vectors``.
+
+    Membership threshold: singular values below ``NULL_SPACE_RTOL`` times the
+    largest are treated as zero.
+    """
+    if not vectors:
+        return np.eye(dim, dtype=complex)
+    m = np.array([np.asarray(v, dtype=complex).conj() for v in vectors])
+    if m.shape[1] != dim:
+        raise DimensionMismatchError("vector length does not match dim")
+    _, sv, vh = np.linalg.svd(m)
+    cutoff = NULL_SPACE_RTOL * (sv[0] if sv.size else 1.0)
+    rank = int(np.sum(sv > cutoff))
+    return vh[rank:].conj().T
+
+
 # ---------------------------------------------------------------------------
 # Fixed orthonormal real basis of Herm(C^d)
 #

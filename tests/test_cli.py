@@ -18,6 +18,7 @@ from sepdisc.cli import (
     load_ensemble,
     main,
 )
+from sepdisc.linalg import BipartiteSpace, orthogonal_complement
 from sepdisc.states import catalog, extend_ensemble
 
 
@@ -338,20 +339,50 @@ def test_certify_ydy_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["certify", "bell3", "--epsilon", "0.5"], ["certify", "bell4", "--epsilon", "0.5"],
-     ["certify", "ydy"], ["ups", "tiles", "--action", "bound", "--lambda", "analytic"]],
-    ids=["bell3", "bell4", "ydy", "ups-bound"],
+    "argv, message",
+    [
+        (["certify", "bell3", "--epsilon", "0.5", "--restarts", "0"],
+         "restarts must be at least 1, got 0"),
+        (["certify", "bell3", "--epsilon", "0.5", "--restarts", "-5"],
+         "restarts must be at least 1, got -5"),
+        (["certify", "bell3", "--epsilon", "0.5", "--seed", "-1"],
+         "seed must be nonnegative, got -1"),
+        (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--restarts", "0"],
+         "restarts must be at least 1, got 0"),
+        # Start vectors larger than the address space: the library refuses
+        # them before any memory is touched.
+        (["certify", "ydy", "--restarts", "1000000000000000"],
+         "restarts must fit in memory, got 1000000000000000"),
+        (["ups", "tiles", "--action", "bound", "--lambda", "analytic",
+          "--restarts", "1000000000000000"],
+         "restarts must fit in memory, got 1000000000000000"),
+        (["certify", "bell4", "--epsilon", "0.5", "--restarts", "0"],
+         "restarts must be at least 1, got 0"),
+        (["certify", "bell4", "--epsilon", "0.5", "--seed", "-1"],
+         "seed must be nonnegative, got -1"),
+        (["certify", "ydy", "--seed", "-1"],
+         "seed must be nonnegative, got -1"),
+        (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--seed", "-1"],
+         "seed must be nonnegative, got -1"),
+    ],
 )
-def test_see_saw_flags_rejected(tmp_path, capsys, argv):
-    # No command runs a see-saw: --seed is checked but read by nothing, and
-    # --restarts is no flag at all. Each ends in exit 2 with no report.
-    code, report = run(tmp_path, *argv, "--seed", "-1")
+def test_see_saw_flags_rejected(tmp_path, capsys, argv, message):
+    # No command runs a see-saw. --seed is checked but read by nothing, with
+    # block_positivity_search's message; --restarts is no flag at all, so
+    # argparse refuses it. Each ends in exit 2 with no report, and the value
+    # is still refused with the message by block_positivity_search itself.
+    flag, value = argv[-2], argv[-1]
+    code, report = run_or_exit(tmp_path, *argv)
     assert code == EXIT_INPUT and report is None
-    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
-    code, report = run_or_exit(tmp_path, *argv, "--restarts", "2")
-    assert code == EXIT_INPUT and report is None
-    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --restarts 2\n")
+    err = capsys.readouterr().err
+    if flag == "--seed":
+        assert err == f"error: {message}\n"
+    else:
+        assert err.endswith(f"error: unrecognized arguments: --restarts {value}\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certificates.block_positivity_search(
+            np.eye(4, dtype=complex), BipartiteSpace(2, 2), **{flag[2:]: int(value)}
+        )
 
 
 def _bare_number_ensemble(path):
@@ -580,8 +611,6 @@ def test_ups_bound_analytic(tmp_path):
 def _z_in_tiles_complement(path):
     """A unit vector orthogonal to the tiles members, other than the built-in
     extra state, written as a --z file."""
-    from test_ups import orthogonal_complement
-
     basis = orthogonal_complement([m.vector for m in catalog("tiles").members], 9)
     z = basis @ np.array([0.5, -0.5j, 0.5, 0.5])
     path.write_text(json.dumps(encode_vector(z / np.linalg.norm(z))))

@@ -640,9 +640,10 @@ def test_dual_certificate_trace():
         ("certificates", "breuer_hall_witness", ["u", "v"]),
         ("linalg", "require_hermitian", ["a"]),
         ("conesolve", "solve_sdp", ["problem"]),
+        ("linalg", "orthogonal_complement", ["vectors", "dim"]),
+        ("states", "fix_phase", ["v"]),
         # The split search's rank cutoff, NULL_SPACE_RTOL, is no keyword either.
         ("ups", "is_unextendable", ["s"]),
-        ("states", "fix_phase", ["v"]),
     ],
 )
 def test_tolerances_are_module_constants(module, function, parameters):

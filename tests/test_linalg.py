@@ -10,6 +10,7 @@ from sepdisc.linalg import (
     herm_to_coords,
     hermitian_basis_matrix,
     kron,
+    orthogonal_complement,
     partial_trace,
     partial_transpose,
     require_hermitian,
@@ -227,3 +228,11 @@ def test_space_validation():
         BipartiteSpace(0, 2)
     with pytest.raises(DimensionMismatchError):
         space.check_operator(np.eye(4))
+
+
+def test_orthogonal_complement():
+    basis = orthogonal_complement([np.array([1, 0, 0], dtype=complex)], 3)
+    assert basis.shape == (3, 2)
+    assert np.allclose(basis[0], 0)
+    assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-14)
+    assert orthogonal_complement([np.eye(2, dtype=complex)[i] for i in range(2)], 2).shape[1] == 0

@@ -1,4 +1,3 @@
-import inspect
 import warnings
 
 import numpy as np
@@ -8,7 +7,7 @@ from feng_fixture import EXPECTED_REPLACEMENTS
 from sepdisc.certificates import block_positivity_search
 from sepdisc import conesolve
 from sepdisc.conesolve import verify_farkas
-from sepdisc.linalg import NULL_SPACE_RTOL, BipartiteSpace, DimensionMismatchError
+from sepdisc.linalg import BipartiteSpace, orthogonal_complement
 from sepdisc.states import ProductVector, UPSet, catalog, fix_phase, projector, tiles_orthogonal_state
 from sepdisc.ups import (
     DEDUP_OVERLAP,
@@ -97,34 +96,6 @@ def test_replacement_matches_frozen_feng_lists():
                 for cu, cv in expected
             )
             assert best >= 1 - 1e-9
-
-
-def orthogonal_complement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the space orthogonal to all ``vectors``:
-    the per-subset reference of the stacked split search.
-
-    Membership threshold: singular values below ``NULL_SPACE_RTOL`` times the
-    largest are treated as zero.
-    """
-    if not vectors:
-        return np.eye(dim, dtype=complex)
-    m = np.array([np.asarray(v, dtype=complex).conj() for v in vectors])
-    if m.shape[1] != dim:
-        raise DimensionMismatchError("vector length does not match dim")
-    _, sv, vh = np.linalg.svd(m)
-    cutoff = NULL_SPACE_RTOL * (sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return vh[rank:].conj().T
-
-
-def test_orthogonal_complement():
-    basis = orthogonal_complement([np.array([1, 0, 0], dtype=complex)], 3)
-    assert basis.shape == (3, 2)
-    assert np.allclose(basis[0], 0)
-    assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-14)
-    assert orthogonal_complement([np.eye(2, dtype=complex)[i] for i in range(2)], 2).shape[1] == 0
-    # Its threshold is the module constant the split search uses, not a keyword.
-    assert list(inspect.signature(orthogonal_complement).parameters) == ["vectors", "dim"]
 
 
 def reference_replacements(s):
