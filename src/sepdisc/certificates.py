@@ -176,14 +176,12 @@ def four_bell_resource_certificate(epsilon: float) -> DualCertificate:
     return DualCertificate(resource_frame_to_xy(h_paired), "ppt-dual")
 
 
-def four_bell_certificate_psd_margins(cert: DualCertificate, epsilon: float) -> list[float]:
-    """Minimum eigenvalues of the partially transposed slacks H - rho_k / 4 of
-    the given four-Bell certificate H at ``epsilon``, rho_k = bell(k) (x) tau(eps)
-    in the (X1 X2):(Y1 Y2) frame; all must be nonnegative up to roundoff."""
-    tau_op = projector(tau(epsilon))
+def four_bell_certificate_psd_margins(slacks: list[np.ndarray]) -> list[float]:
+    """Minimum eigenvalues of the partial transposes T_X(S) of the four-Bell
+    certificate's slacks S = H - p_k rho_k on C^4 (x) C^4, in the
+    (X1 X2):(Y1 Y2) frame; all must be nonnegative up to roundoff."""
     margins = []
-    for k in (1, 2, 3, 4):
-        slack = cert.matrix - resource_frame_to_xy(kron(projector(bell(k)), tau_op)) / 4.0
+    for slack in slacks:
         pt = partial_transpose(slack, 4, 4)
         margins.append(float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0]))
     return margins

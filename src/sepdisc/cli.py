@@ -84,8 +84,10 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def encode_vector(v) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(v, dtype=complex)]
+def encode(a) -> list:
+    """An array of any shape as nested lists ending in [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def _is_number(x) -> bool:
@@ -106,10 +108,6 @@ def decode_vector(data) -> np.ndarray:
     if not np.isfinite(v).all():
         raise InputError("entries must be finite")
     return v
-
-
-def encode_matrix(m) -> list:
-    return [encode_vector(row) for row in np.asarray(m, dtype=complex)]
 
 
 def decode_matrix(data) -> np.ndarray:
@@ -236,9 +234,9 @@ def cmd_discriminate(args) -> tuple[dict, int]:
         "certificate": {
             "cone": result.certificate.cone_tag,
             "claimed_value": result.certificate.claimed_value,
-            "matrix": encode_matrix(result.certificate.matrix),
+            "matrix": encode(result.certificate.matrix),
         },
-        "measurement": [encode_matrix(p) for p in result.measurement.operators],
+        "measurement": encode(result.measurement.operators),
     }
     return outputs, EXIT_OK
 
@@ -287,9 +285,11 @@ def _bell3_certificate(eps: float):
 
 def _bell4_certificate(eps: float):
     cert = four_bell_resource_certificate(eps)
+    ens = extend_ensemble(catalog("bell4"), eps)
+    slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
     # <x (x) y|S|x (x) y> = <conj(x) (x) y|T_X(S)|conj(x) (x) y>.
-    margins = four_bell_certificate_psd_margins(cert, eps)
-    return extend_ensemble(catalog("bell4"), eps), cert, {
+    margins = four_bell_certificate_psd_margins(slacks)
+    return ens, cert, {
         "trace_formula_residual": abs(cert.claimed_value - four_bell_value(eps)),
         "transposed_slack_min_eigenvalues": margins,
     }, margins
@@ -344,7 +344,7 @@ def cmd_certify(args) -> tuple[dict, int]:
         "claimed_trace": cert.claimed_value,
         "protocol_value": measurement_value(ens, local_guess_measurement(ens, basis, basis)),
         **checks,
-        "certificate": {"cone": cert.cone_tag, "matrix": encode_matrix(cert.matrix)},
+        "certificate": {"cone": cert.cone_tag, "matrix": encode(cert.matrix)},
     }
     refuted = min(margin_bounds) < -PSD_MARGIN_TOL
     outputs["outcome"] = "refuted" if refuted else "unrefuted"
@@ -382,8 +382,8 @@ def cmd_ups(args) -> tuple[dict, int]:
         report = _enumerating(is_unextendable, name, ups_set)
         outputs = {"unextendable": report.unextendable}
         if report.witness is not None:
-            outputs["witness_x"] = encode_vector(report.witness.x)
-            outputs["witness_y"] = encode_vector(report.witness.y)
+            outputs["witness_x"] = encode(report.witness.x)
+            outputs["witness_y"] = encode(report.witness.y)
         return outputs, EXIT_OK
 
     if args.action == "enumerate":
@@ -391,7 +391,7 @@ def cmd_ups(args) -> tuple[dict, int]:
         outputs = {
             "counts": reps.counts,
             "per_index": [
-                [{"x": encode_vector(pv.x), "y": encode_vector(pv.y)} for pv in lst]
+                [{"x": encode(pv.x), "y": encode(pv.y)} for pv in lst]
                 for lst in reps.per_index
             ],
         }
@@ -407,9 +407,9 @@ def cmd_ups(args) -> tuple[dict, int]:
         }
         if report.feasible:
             outputs["weights"] = [float(w) for w in report.lp.weights]
-            outputs["measurement"] = [encode_matrix(p) for p in report.measurement.operators]
+            outputs["measurement"] = encode(report.measurement.operators)
         else:
-            outputs["farkas"] = encode_matrix(report.farkas)
+            outputs["farkas"] = encode(report.farkas)
         return outputs, EXIT_OK
 
     if args.lam is None:

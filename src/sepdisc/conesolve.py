@@ -37,11 +37,11 @@ The Schur complement M = sum_b C_b W_b C_b^T is assembled sparsely, in the
 manner of Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997). The Hermitian
 basis matrix T has at most two nonzeros per column, so each block's
 W_b = Re T^H (X_b kron Z_b^-T) T is formed by gathers in O(d^4), not by dense
-products in O(d^6), and added at flat indices of M stored once per solve; a
-block that no row touches is skipped. The gathers work on a slice of a
-run's consecutive blocks at a time, on a leading stack axis, as many as fit
-``SCHUR_SLICE_BYTES`` of temporaries: a whole run of 1- or 2-dimensional
-blocks, one 16-dimensional block. M lives in one column-major buffer, the
+products in O(d^6), and added at flat indices of M stored once per solve.
+The gathers work on a slice of a run's consecutive blocks at a time, on a
+leading stack axis, as many as fit ``SCHUR_SLICE_BYTES`` of temporaries: a
+whole run of 1- or 2-dimensional blocks, one 16-dimensional block. A slice
+that no row touches is skipped. M lives in one column-major buffer, the
 layout LAPACK works in, and the temporaries in one workspace per slice shape.
 
 Everything else works on stacks too: X, Z, Z^-1, the residuals and the
@@ -283,11 +283,11 @@ def _schur_slices(c_rows: np.ndarray, runs) -> list[tuple]:
     consecutive blocks of a run, as many as fit ``SCHUR_SLICE_BYTES`` of
     temporaries (at least one): (run, the blocks as a slice of the run, k
     column gathers into W, k row gathers into C W^T, k values, the flat index
-    of every term entry). A block that no row touches is left out.
+    of every term entry). A slice that no row touches is left out.
 
     Block b's t touched rows tb carry at most k nonzeros each; a slice pads
     its blocks to its largest t and k with value 0, whose products are +-0
-    and leave M unchanged.
+    and leave M unchanged. A block that no row touches is all padding.
     Entry (l, i) of b's transposed t x t term goes to m_flat[tb[l] * m +
     tb[i]], which is M[tb[i], tb[l]] of the column-major M =
     m_flat[:m * m].reshape(m, m).T; padding goes to the sink m_flat[m * m].
@@ -302,20 +302,15 @@ def _schur_slices(c_rows: np.ndarray, runs) -> list[tuple]:
         nz = np.ascontiguousarray((run_rows != 0.0).transpose(1, 0, 2))
         counts = np.count_nonzero(nz, axis=2)  # nonzeros per block and row
         t_blocks = (counts > 0).sum(axis=1)
-        touched = np.flatnonzero(t_blocks)
-        if touched.size == 0:
-            continue
         t = int(t_blocks.max())
         # Complex X kron Z^-T columns, their row gathers and W: 56 n^2 bytes.
         step = max(1, SCHUR_SLICE_BYTES // (56 * n * n + 8 * n * t + 8 * t * t))
-        bounds = [
-            (lo, min(lo + step, int(group[-1]) + 1))
-            for group in np.split(touched, np.flatnonzero(np.diff(touched) > 1) + 1)
-            for lo in range(int(group[0]), int(group[-1]) + 1, step)
-        ]
-        for lo, hi in bounds:
+        for lo in range(0, k, step):
+            hi = min(lo + step, k)
             cnt = counts[lo:hi]
             s, t, kk = hi - lo, int(t_blocks[lo:hi].max()), int(cnt.max())
+            if t == 0:
+                continue
             slot = np.cumsum(cnt > 0, axis=1) - 1  # a touched row's place in tb
             tb = np.full((s, t), -1)
             b_r, r_r = np.nonzero(cnt)
@@ -711,10 +706,9 @@ def solve_lp_feasibility(columns: list[np.ndarray], target: np.ndarray) -> LPFea
 
     Solved as a phase-1 problem on the SDP engine with 1x1 blocks: minimize
     the weight t of an artificial column R = target - sum(columns), starting
-    from the strictly feasible point (1, ..., 1). A zero column gets weight 0
-    and no block, since its dual slack is 0 for every y; every other column
-    needs positive trace (ValueError otherwise), which makes the dual start
-    Y = c * identity strictly feasible. A phase-1 optimum above
+    from the strictly feasible point (1, ..., 1). Every column needs positive
+    trace (ValueError otherwise, for a zero column too), which makes the dual
+    start Y = c * identity strictly feasible. A phase-1 optimum above
     ``FARKAS_THRESHOLD`` yields a Farkas witness read from the dual
     multipliers; either certificate is re-verified by direct recomputation,
     the weights to ``LP_RESIDUAL_TOL``.
@@ -727,13 +721,11 @@ def solve_lp_feasibility(columns: list[np.ndarray], target: np.ndarray) -> LPFea
     if any(c.shape != (d, d) for c in cols):
         raise ValueError("columns and target must act on the same space")
 
-    live = [c.any() for c in cols]
-    used = [c for c, keep in zip(cols, live) if keep]
-    if not all(np.trace(c).real > 0.0 for c in used):
-        raise ValueError("every nonzero column must have positive trace")
-    ncol = len(used)
-    artificial = tgt - sum(used)
-    col_coords = np.ascontiguousarray(herm_to_coords(np.stack(used + [artificial])).T)
+    if not all(np.trace(c).real > 0.0 for c in cols):
+        raise ValueError("every column must have positive trace")
+    ncol = len(cols)
+    artificial = tgt - sum(cols)
+    col_coords = np.ascontiguousarray(herm_to_coords(np.stack(cols + [artificial])).T)
     rhs = herm_to_coords(tgt)
     # One row per coordinate of the d x d target against ncol + 1 columns:
     # the rows are dependent, and solve_sdp takes only independent ones. The
@@ -777,8 +769,7 @@ def solve_lp_feasibility(columns: list[np.ndarray], target: np.ndarray) -> LPFea
             )
         return LPFeasibilityResult(False, None, w, t_star, sol)
 
-    weights = np.zeros(len(cols))
-    weights[live] = np.maximum([float(x[0, 0].real) for x in sol.x_blocks[:-1]], 0.0)
+    weights = np.maximum([float(x[0, 0].real) for x in sol.x_blocks[:-1]], 0.0)
     fit = sum(wk * ck for wk, ck in zip(weights, cols))
     resid = float(np.linalg.norm(fit - tgt))
     if resid > LP_RESIDUAL_TOL:

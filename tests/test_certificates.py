@@ -174,7 +174,9 @@ def test_four_bell_certificate_trace():
 @pytest.mark.parametrize("eps", [0.0, 0.4, 0.8, 1.0])
 def test_four_bell_certificate_psd(eps):
     cert = four_bell_resource_certificate(eps)
-    assert min(four_bell_certificate_psd_margins(cert, eps)) >= -1e-10
+    ens = extend_ensemble(catalog("bell4"), eps)
+    slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
+    assert min(four_bell_certificate_psd_margins(slacks)) >= -1e-10
 
 
 @pytest.mark.parametrize("eps", [0.15, 0.5, 0.85])

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from complement_reference import orthogonal_complement
 from sepdisc import certificates
 from sepdisc.cli import (
     EXIT_INPUT,
@@ -13,12 +14,11 @@ from sepdisc.cli import (
     InputError,
     decode_matrix,
     decode_vector,
-    encode_matrix,
-    encode_vector,
+    encode,
     load_ensemble,
     main,
 )
-from sepdisc.linalg import BipartiteSpace, orthogonal_complement
+from sepdisc.linalg import BipartiteSpace
 from sepdisc.states import catalog, extend_ensemble
 
 
@@ -28,7 +28,7 @@ def save_ensemble(path: str, e) -> None:
         "kind": "ensemble",
         "space": {"dim_x": e.space.dim_x, "dim_y": e.space.dim_y},
         "probs": [float(p) for p in e.probs],
-        "states": [encode_matrix(s) for s in e.states],
+        "states": [encode(s) for s in e.states],
     }
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -51,14 +51,17 @@ def run_or_exit(tmp_path, *argv):
 
 def test_complex_codec_roundtrip(rng):
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.array_equal(decode_matrix(encode_matrix(m)), m)
+    assert np.array_equal(decode_matrix(encode(m)), m)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert np.array_equal(decode_vector(encode_vector(v)), v)
+    assert np.array_equal(decode_vector(encode(v)), v)
+    # A stack of matrices is the list of its encoded matrices.
+    assert encode(np.stack([m, m.T])) == [encode(m), encode(m.T)]
+    assert encode(v) == [[float(c.real), float(c.imag)] for c in v]
 
 
 def test_codec_roundtrips_through_json(rng):
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    again = decode_matrix(json.loads(json.dumps(encode_matrix(m))))
+    again = decode_matrix(json.loads(json.dumps(encode(m))))
     assert np.array_equal(again, m)
 
 
@@ -262,7 +265,7 @@ def test_certify_bell4_builds_its_certificate_once(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "certify", "bell4", "--epsilon", "0.6")
     assert code == EXIT_OK
     assert builds == [(0.6,)]
-    # Its extended ensemble is built once, for the protocol's value only.
+    # Its extended ensemble is built once, for the slacks and the protocol's value.
     assert [eps for _, eps in extensions] == [0.6]
 
 
@@ -313,6 +316,38 @@ def test_scaled_ydy_certificate_is_refuted(tmp_path, monkeypatch):
     assert out["outcome"] == "refuted"
     assert min(out["witness_identity_residuals"]) > 1e-8
     assert max(out["slack_margin_bounds"]) < -1e-7
+
+
+@pytest.mark.parametrize("eps", ["0.2", "0.6", "0.9"])
+def test_scaled_bell4_certificate_is_refuted(tmp_path, monkeypatch, eps):
+    # H scaled by 1 - 1e-6 has trace below the achievable (1 + r)/2; some
+    # transposed slack (1 - 1e-6) H - rho_k / 4 has an eigenvalue of about
+    # -1e-7. Scaled by 1 + 1e-6, H stays a certificate.
+    from sepdisc import cli
+
+    original = certificates.four_bell_resource_certificate
+    for factor, want in ((1 - 1e-6, EXIT_REFUTED), (1 + 1e-6, EXIT_OK)):
+        monkeypatch.setattr(cli, "four_bell_resource_certificate",
+                            lambda e: _scaled(original(e), factor))
+        code, report = run(tmp_path, "certify", "bell4", "--epsilon", eps)
+        assert code == want
+        out = report["outputs"]
+        assert out["outcome"] == ("refuted" if want == EXIT_REFUTED else "unrefuted")
+        if want == EXIT_REFUTED:
+            assert min(out["transposed_slack_min_eigenvalues"]) < -5e-8
+
+
+def test_certify_bell4_checks_the_ensemble_it_reports(tmp_path, monkeypatch):
+    # The slacks are H - rho_k / 4 for the reported ensemble's states: with
+    # the ensemble of eps + 0.1 in place of eps's, H no longer dominates them.
+    from sepdisc import cli
+
+    original = cli.extend_ensemble
+    monkeypatch.setattr(cli, "extend_ensemble", lambda e, eps: original(e, eps + 0.1))
+    code, report = run(tmp_path, "certify", "bell4", "--epsilon", "0.6")
+    assert code == EXIT_REFUTED
+    assert report["outputs"]["outcome"] == "refuted"
+    assert min(report["outputs"]["transposed_slack_min_eigenvalues"]) < -1e-3
 
 
 @pytest.mark.parametrize("eps", ["0", "1e-9", "0.9999999", "0.99999999", "0.9999999995"])
@@ -451,7 +486,7 @@ def _probs_ensemble(probs):
          "bad space header: 'float' object cannot be interpreted as an integer"),
         (["discriminate", "{path}", "--class", "global"],
          {"kind": "ensemble", "space": {"dim_x": True, "dim_y": 2},
-          "states": [encode_matrix(np.diag([1.0, 0.0])), encode_matrix(np.diag([0.0, 1.0]))],
+          "states": [encode(np.diag([1.0, 0.0])), encode(np.diag([0.0, 1.0]))],
           "probs": [0.5, 0.5]},
          "bad space header: dims must be integers, not True"),
         (["ups", "{path}", "--action", "check"],
@@ -464,14 +499,14 @@ def _probs_ensemble(probs):
          _probs_ensemble(0.5), "probs must be a list of numbers"),
         (["discriminate", "{path}", "--class", "global"],
          {"kind": "ensemble", "space": {"dim_x": 2, "dim_y": 2}, "probs": [1.0],
-          "states": [encode_matrix(np.diag([1.5, -0.5, 0.0, 0.0]))]},
+          "states": [encode(np.diag([1.5, -0.5, 0.0, 0.0]))]},
          "ensemble states must be positive semidefinite"),
         (["ups", "{path}"],
          {"kind": "product_set", "space": {"dim_x": 2, "dim_y": 2},
-          "members": [{"x": encode_vector(np.eye(3)[0]), "y": encode_vector(np.eye(2)[0])}]},
+          "members": [{"x": encode(np.eye(3)[0]), "y": encode(np.eye(2)[0])}]},
          "member factors do not match the space dims"),
         (["ups", "tiles", "--action", "bound", "--lambda", "analytic", "--z", "{path}"],
-         encode_vector(np.array([1.0, 0.0])), "z does not live on the set's space"),
+         encode(np.array([1.0, 0.0])), "z does not live on the set's space"),
     ],
     ids=["ups-bound-z", "ups-check", "discriminate-list", "discriminate-bare-rows",
          "discriminate-no-space", "ups-members-number", "discriminate-float-factor",
@@ -613,7 +648,7 @@ def _z_in_tiles_complement(path):
     extra state, written as a --z file."""
     basis = orthogonal_complement([m.vector for m in catalog("tiles").members], 9)
     z = basis @ np.array([0.5, -0.5j, 0.5, 0.5])
-    path.write_text(json.dumps(encode_vector(z / np.linalg.norm(z))))
+    path.write_text(json.dumps(encode(z / np.linalg.norm(z))))
     return str(path)
 
 
@@ -699,7 +734,7 @@ def test_bound_flags_rejected_by_other_ups_actions(tmp_path, capsys, action, fla
 def write_product_set(path, dims, pairs):
     """A product set of standard-basis pairs (i, j) -> |i> (x) |j>."""
     ex, ey = np.eye(dims[0]), np.eye(dims[1])
-    members = [{"x": encode_vector(ex[i]), "y": encode_vector(ey[j])} for i, j in pairs]
+    members = [{"x": encode(ex[i]), "y": encode(ey[j])} for i, j in pairs]
     space = {"dim_x": dims[0], "dim_y": dims[1]}
     path.write_text(json.dumps({"kind": "product_set", "space": space, "members": members}))
 

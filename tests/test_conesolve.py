@@ -357,16 +357,21 @@ def test_run_longer_than_one_slice_equals_oracle(rng, monkeypatch):
     assert len(sizes) > 2 and sizes[-1] < sizes[0]
 
 
-def test_untouched_blocks_are_left_out(rng):
+def test_untouched_blocks_are_left_out(rng, monkeypatch):
     dims = (2,) * 6 + (3,) * 2
     rows = _sparse_rows(rng, dims, 20, untouched=(0, 3, 5, 7))
     got, want, slices = _schur_pair(rng, dims, rows)
     assert np.array_equal(got, want)
-    # Slices hold consecutive blocks only, so an untouched block ends one.
-    assert [(s[0], s[1]) for s in slices] == [(0, slice(1, 3)), (0, slice(4, 5)), (1, slice(0, 1))]
+    # An untouched block inside a slice is all padding: its terms go to the sink.
+    assert [(s[0], s[1]) for s in slices] == [(0, slice(0, 6)), (1, slice(0, 2))]
     # A run that no row touches has no slice at all.
     rows[:, -18:] = 0.0
-    assert [s[0] for s in _schur_slices(rows, conesolve._runs(dims))] == [0, 0]
+    assert [s[0] for s in _schur_slices(rows, conesolve._runs(dims))] == [0]
+    # With one block per slice, an untouched block has no slice either.
+    monkeypatch.setattr(conesolve, "SCHUR_SLICE_BYTES", 1)
+    got, want, slices = _schur_pair(rng, dims, rows)
+    assert np.array_equal(got, want)
+    assert [(s[0], s[1]) for s in slices] == [(0, slice(j, j + 1)) for j in (1, 2, 4)]
 
 
 def test_mixed_gather_shapes_in_one_run_equal_oracle(rng):
@@ -640,9 +645,9 @@ def test_dual_certificate_trace():
         ("certificates", "breuer_hall_witness", ["u", "v"]),
         ("linalg", "require_hermitian", ["a"]),
         ("conesolve", "solve_sdp", ["problem"]),
-        ("linalg", "orthogonal_complement", ["vectors", "dim"]),
-        ("states", "fix_phase", ["v"]),
         # The split search's rank cutoff, NULL_SPACE_RTOL, is no keyword either.
+        ("ups", "replacement_projections", ["s"]),
+        ("states", "fix_phase", ["v"]),
         ("ups", "is_unextendable", ["s"]),
     ],
 )
@@ -664,23 +669,6 @@ def test_lp_diagonal_weights():
     assert np.allclose(res.weights, [1.0, 1.0], atol=1e-7)
     fit = res.weights[0] * cols[0] + res.weights[1] * cols[1]
     assert np.linalg.norm(fit - np.eye(2)) <= 1e-8
-    ok, worst = weak_duality_ok(res.solution.log)
-    assert ok, worst
-
-
-def test_lp_zero_column_leaves_block_untouched():
-    # A zero column's dual slack is 0 for every y, so it would admit no
-    # strictly feasible dual start: it gets no block and weight 0.
-    cols = [
-        np.diag([1.0, 0.0]).astype(complex),
-        np.zeros((2, 2), dtype=complex),
-        np.diag([0.0, 1.0]).astype(complex),
-    ]
-    res = solve_lp_feasibility(cols, np.eye(2, dtype=complex))
-    assert res.feasible
-    assert len(res.solution.x_blocks) == 3  # two columns and the artificial one
-    assert res.weights[1] == 0.0
-    assert np.allclose(res.weights[[0, 2]], [1.0, 1.0], atol=1e-7)
     ok, worst = weak_duality_ok(res.solution.log)
     assert ok, worst
 
@@ -713,18 +701,14 @@ def test_lp_branches_mutually_exclusive():
     assert (res.weights is None) != (res.farkas is None)
 
 
-def test_lp_only_zero_columns():
-    zero = np.zeros((2, 2), dtype=complex)
-    res = solve_lp_feasibility([zero, zero], np.eye(2, dtype=complex))
-    assert not res.feasible and res.weights is None
-    assert verify_farkas([zero, zero], np.eye(2, dtype=complex), res.farkas)
-
-
-@pytest.mark.parametrize("column", [np.diag([1.0, -1.0]), np.diag([-1.0, 0.0])])
+@pytest.mark.parametrize(
+    "column", [np.diag([1.0, -1.0]), np.diag([-1.0, 0.0]), np.zeros((2, 2))]
+)
 def test_lp_rejects_column_without_positive_trace(column):
-    # The phase-1 dual start c * identity has slack c * Tr(column).
+    # The phase-1 dual start c * identity has slack c * Tr(column), and a
+    # zero column's slack is 0 for every y.
     cols = [np.eye(2, dtype=complex), column.astype(complex)]
-    with pytest.raises(ValueError, match="every nonzero column must have positive trace"):
+    with pytest.raises(ValueError, match="every column must have positive trace"):
         solve_lp_feasibility(cols, np.eye(2, dtype=complex))
 
 
