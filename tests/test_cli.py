@@ -4,7 +4,6 @@ import sys
 import numpy as np
 import pytest
 
-from complement_reference import orthogonal_complement
 from sepdisc import certificates
 from sepdisc.cli import (
     EXIT_INPUT,
@@ -18,7 +17,7 @@ from sepdisc.cli import (
     load_ensemble,
     main,
 )
-from sepdisc.linalg import BipartiteSpace
+from sepdisc.linalg import BipartiteSpace, orthogonal_complement
 from sepdisc.states import catalog, extend_ensemble
 
 

