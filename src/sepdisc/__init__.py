@@ -11,6 +11,7 @@ from .certificates import (
     ConeSearchReport,
     block_positivity_search,
     breuer_hall_witness,
+    certify,
     four_bell_resource_certificate,
     three_bell_resource_certificate,
     two_qubit_positive_map,

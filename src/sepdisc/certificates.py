@@ -1,12 +1,15 @@
 """Dual certificates for separable- and PPT-measurement bounds, the positive
-maps behind them, and a see-saw falsifier for block positivity.
+maps behind them, what each named certificate proves, and a see-saw
+falsifier for block positivity.
 
 A Hermitian H with H - p_k rho_k block positive for every k certifies that no
 separable measurement succeeds with probability above Tr(H). The generic
 search here can only refute such a certificate (by finding a product vector
 with negative expectation) or report it unrefuted; the constructions below
 additionally come with exact algebraic identities, whose float residuals bound
-every product vector's expectation at once (``sepdisc certify``).
+every product vector's expectation at once. :func:`certify` forms the slacks
+of a named certificate once and turns those identities into one margin bound
+per slack; a bound below -PSD_MARGIN_TOL refutes the certificate.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conesolve import DualCertificate
+from .discrimination import four_bell_value, three_bell_value
 from .linalg import (
     BipartiteSpace,
     PAULI,
@@ -29,10 +33,13 @@ from .linalg import (
 from .states import (
     ProductVector,
     bell,
+    catalog,
+    extend_ensemble,
     fix_phase,
     projector,
     resource_frame_to_xy,
     tau,
+    ydy_unitaries,
 )
 
 DEFAULT_RESTARTS = 1000
@@ -44,10 +51,24 @@ UNITARY_TOL = 1e-10
 # A slack whose least eigenvalue, or whose lower bound on its block-positivity
 # margin, is below -PSD_MARGIN_TOL refutes its certificate.
 PSD_MARGIN_TOL = 1e-10
+# Rounding budget of a float identity residual, in ulps of the largest slack
+# entry: it covers the entries' own rounding and the four-term sums of the
+# local conjugations.
+IDENTITY_ULPS = 64
 try:  # bytes; where the OS does not say, only the draw itself can fail
     PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, OSError, ValueError):
     PHYSICAL_MEMORY = math.inf
+
+
+def margin_bounds(residuals, slacks) -> list[float]:
+    """Lower bounds on min <v|S|v> over unit product vectors v, one per slack
+    S, given residuals[k] >= max|S_k - B_k| up to roundoff for a block-positive
+    B_k. For an n x n error E, ||E||_2 <= n max|E|, so
+    <v|S_k|v> >= -n (residuals[k] + beta), beta the rounding budget."""
+    n = slacks[0].shape[0]
+    beta = IDENTITY_ULPS * float(np.spacing(max(np.abs(s).max() for s in slacks)))
+    return [-n * (r + beta) for r in residuals]
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +252,67 @@ def ydy_certificate() -> DualCertificate:
     vv = vec(ydy_witness_unitary())
     h = (np.eye(16, dtype=complex) - partial_transpose(np.outer(vv, vv.conj()), 4, 4)) / 16.0
     return DualCertificate(h, "sep-dual")
+
+
+# ---------------------------------------------------------------------------
+# What each named certificate proves
+# ---------------------------------------------------------------------------
+
+
+def certify(name: str, epsilon: float | None = None):
+    """(ensemble, certificate, checks, margins) of bell3 or bell4 at
+    ``epsilon``, or of ydy (no epsilon); ValueError for anything else.
+
+    The slacks H - p_k rho_k are formed once, from the returned certificate
+    and ensemble. ``margins`` bounds each slack's min <v|S|v> over unit
+    product vectors v from below: bell3 and ydy from their identity
+    residuals in ``checks``, bell4 by its transposed-slack eigenvalues.
+    """
+    if name in ("bell3", "bell4") and epsilon is not None:
+        cert = (three_bell_resource_certificate if name == "bell3"
+                else four_bell_resource_certificate)(epsilon)
+        ens = extend_ensemble(catalog(name), epsilon)
+    elif name == "ydy" and epsilon is None:
+        cert, ens = ydy_certificate(), catalog("ydy")
+    else:
+        raise ValueError(f"no certificate {name!r} at epsilon {epsilon!r}")
+    slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
+    if name == "bell3":
+        link = three_bell_slack_map_residual(slacks[0], epsilon)
+        conjugations = list(three_bell_slack_conjugations(slacks))
+        # Slack 1 is (r/12) times the Choi matrix of a positive map, and
+        # slacks 2 and 3 are its conjugations by local unitaries.
+        margins = margin_bounds([link] + [link + c for c in conjugations], slacks)
+        checks = {
+            "trace_formula_residual": abs(cert.claimed_value - three_bell_value(epsilon)),
+            "conjugation_residuals": conjugations,
+            "map_link_residual": link,
+            "slack_margin_bounds": margins,
+        }
+    elif name == "bell4":
+        # <x (x) y|S|x (x) y> = <conj(x) (x) y|T_X(S)|conj(x) (x) y>.
+        margins = four_bell_certificate_psd_margins(slacks)
+        checks = {
+            "trace_formula_residual": abs(cert.claimed_value - four_bell_value(epsilon)),
+            "transposed_slack_min_eigenvalues": margins,
+        }
+    else:
+        us, v = ydy_unitaries(), ydy_witness_unitary()
+        skew = [float(np.abs(w.T + w).max()) for w in (v.T @ u for u in us)]
+        witness = [
+            float(np.abs(s - breuer_hall_witness(u, v) / 16.0).max()) for s, u in zip(slacks, us)
+        ]
+        # Each slack is a Breuer-Hall witness over 16, block positive when
+        # V^T U is skew-symmetric. A symmetric part D of V^T U lowers the
+        # witness's margin by at most 4 max|D| = 2 skew, so the slack's by
+        # less than 16 skew.
+        margins = margin_bounds([w + k for w, k in zip(witness, skew)], slacks)
+        checks = {
+            "skew_symmetry_residuals": skew,
+            "witness_identity_residuals": witness,
+            "slack_margin_bounds": margins,
+        }
+    return ens, cert, checks, margins
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ field is the only part that varies between runs.
 
 Exit codes: 0 success, 2 input validation (including an input or output
 path that cannot be read or written), 3 solver non-convergence, 4 refuted
-certificate: for ``certify``, a lower bound on some slack's block-positivity
-margin below -PSD_MARGIN_TOL; for ``ups --action bound``, a member slack
-eigenvalue below it, or the extra-state slack's margin bound. Each outcome
-comes from the certificate's own identities (for the bound, with the cited
-tiles constant); no command runs a see-saw search.
+certificate: the least of the margins that ``certificates.certify`` or
+``ups.ups_plus_state_bound`` returns is below -PSD_MARGIN_TOL. Those
+functions decide what a certificate proves, from its own identities (for
+the bound, with the cited tiles constant); no command runs a see-saw search.
 """
 
 from __future__ import annotations
@@ -26,26 +25,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .certificates import (
-    PSD_MARGIN_TOL,
-    breuer_hall_witness,
-    four_bell_certificate_psd_margins,
-    four_bell_resource_certificate,
-    three_bell_resource_certificate,
-    three_bell_slack_conjugations,
-    three_bell_slack_map_residual,
-    ydy_certificate,
-    ydy_witness_unitary,
-)
+from .certificates import PSD_MARGIN_TOL, certify
 from .conesolve import ConvergenceError, format_iterate_log, span_residual
-from .discrimination import (
-    four_bell_value,
-    local_guess_measurement,
-    measurement_value,
-    optimal_global,
-    optimal_ppt,
-    three_bell_value,
-)
+from .discrimination import local_guess_measurement, measurement_value, optimal_global, optimal_ppt
 from .linalg import BipartiteSpace
 from .states import (
     CATALOG_NAMES,
@@ -55,9 +37,7 @@ from .states import (
     bell,
     catalog,
     extend_ensemble,
-    projector,
     tiles_orthogonal_state,
-    ydy_unitaries,
 )
 from .ups import (
     ExtraStateError,
@@ -228,7 +208,7 @@ def cmd_discriminate(args) -> tuple[dict, int]:
     outputs = {
         "value": result.value,
         "dual_value": result.solution.dual_value,
-        "gap": result.gap,
+        "gap": result.value - result.solution.dual_value,
         "status": result.solution.status,
         "iterations": result.solution.iterations,
         "certificate": {
@@ -249,93 +229,28 @@ def _check_seed(args) -> None:
         raise InputError(f"seed must be nonnegative, got {args.seed}")
 
 
-# Rounding budget of a float identity residual, in ulps of the largest slack
-# entry: it covers the entries' own rounding and the four-term sums of the
-# local conjugations.
-IDENTITY_ULPS = 64
+def _judged(outputs: dict, margins) -> tuple[dict, int]:
+    """outputs with its outcome: refuted if its least margin is below -PSD_MARGIN_TOL."""
+    refuted = min(margins) < -PSD_MARGIN_TOL
+    outputs["outcome"] = "refuted" if refuted else "unrefuted"
+    return outputs, EXIT_REFUTED if refuted else EXIT_OK
 
 
-def _margin_bounds(residuals, slacks) -> list[float]:
-    """Lower bounds on min <v|S|v> over unit product vectors v, one per slack
-    S, given residuals[k] >= max|S_k - B_k| up to roundoff for a block-positive
-    B_k. For an n x n error E, ||E||_2 <= n max|E|, so
-    <v|S_k|v> >= -n (residuals[k] + beta), beta the rounding budget."""
-    n = slacks[0].shape[0]
-    beta = IDENTITY_ULPS * float(np.spacing(max(np.abs(s).max() for s in slacks)))
-    return [-n * (r + beta) for r in residuals]
-
-
-def _bell3_certificate(eps: float):
-    cert = three_bell_resource_certificate(eps)
-    ens = extend_ensemble(catalog("bell3"), eps)
-    slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
-    link = three_bell_slack_map_residual(slacks[0], eps)
-    conjugations = list(three_bell_slack_conjugations(slacks))
-    # The slacks are those of the reported certificate and ensemble. Slack 1
-    # is (r/12) times the Choi matrix of a positive map, and slacks 2 and 3
-    # are its conjugations by local unitaries.
-    bounds = _margin_bounds([link] + [link + c for c in conjugations], slacks)
-    return ens, cert, {
-        "trace_formula_residual": abs(cert.claimed_value - three_bell_value(eps)),
-        "conjugation_residuals": conjugations,
-        "map_link_residual": link,
-        "slack_margin_bounds": bounds,
-    }, bounds
-
-
-def _bell4_certificate(eps: float):
-    cert = four_bell_resource_certificate(eps)
-    ens = extend_ensemble(catalog("bell4"), eps)
-    slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
-    # <x (x) y|S|x (x) y> = <conj(x) (x) y|T_X(S)|conj(x) (x) y>.
-    margins = four_bell_certificate_psd_margins(slacks)
-    return ens, cert, {
-        "trace_formula_residual": abs(cert.claimed_value - four_bell_value(eps)),
-        "transposed_slack_min_eigenvalues": margins,
-    }, margins
-
-
-def _ydy_certificate(_):
-    cert, ens, us, v = ydy_certificate(), catalog("ydy"), ydy_unitaries(), ydy_witness_unitary()
-    slacks = [cert.matrix - p * rho for p, rho in zip(ens.probs, ens.states)]
-    skew_residuals = [float(np.abs(w.T + w).max()) for w in (v.T @ u for u in us)]
-    witness_residuals = [
-        float(np.abs(s - breuer_hall_witness(u, v) / 16.0).max()) for s, u in zip(slacks, us)
-    ]
-    # Each slack is a Breuer-Hall witness over 16, block positive when V^T U
-    # is skew-symmetric. A symmetric part D of V^T U lowers the witness's
-    # margin by at most 4 max|D| = 2 skew, so the slack's by less than 16 skew.
-    bounds = _margin_bounds([w + s for w, s in zip(witness_residuals, skew_residuals)], slacks)
-    return ens, cert, {
-        "skew_symmetry_residuals": skew_residuals,
-        "witness_identity_residuals": witness_residuals,
-        "slack_margin_bounds": bounds,
-    }, bounds
-
-
-# name -> (takes --epsilon, each party's local basis for the protocol side,
-# builder of (ensemble, certificate, checks on that one certificate, a lower
-# bound on each slack's block-positivity margin)). bell3 and ydy bound their
-# margins from their float identity residuals, bell4 by the least eigenvalue
-# of each transposed slack; no name runs a see-saw search.
+# name -> (takes --epsilon, each party's local basis for the protocol side).
 BELL_BASIS = np.column_stack([bell(k) for k in range(1, 5)])
-CERTIFICATES = {
-    "bell3": (True, BELL_BASIS, _bell3_certificate),
-    "bell4": (True, BELL_BASIS, _bell4_certificate),
-    "ydy": (False, np.eye(4), _ydy_certificate),
-}
+CERTIFICATES = {"bell3": (True, BELL_BASIS), "bell4": (True, BELL_BASIS), "ydy": (False, np.eye(4))}
 
 
 def cmd_certify(args) -> tuple[dict, int]:
     name = args.name
-    takes_epsilon, basis, build = CERTIFICATES[name]
+    takes_epsilon, basis = CERTIFICATES[name]
     if takes_epsilon and args.epsilon is None:
         raise InputError(f"certify {name} requires --epsilon")
     if not takes_epsilon and args.epsilon is not None:
         raise InputError(f"certify {name} takes no --epsilon")
     _check_seed(args)
     try:
-        ens, cert, checks, margin_bounds = build(args.epsilon)
+        ens, cert, checks, margins = certify(name, args.epsilon)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -346,9 +261,7 @@ def cmd_certify(args) -> tuple[dict, int]:
         **checks,
         "certificate": {"cone": cert.cone_tag, "matrix": encode(cert.matrix)},
     }
-    refuted = min(margin_bounds) < -PSD_MARGIN_TOL
-    outputs["outcome"] = "refuted" if refuted else "unrefuted"
-    return outputs, EXIT_REFUTED if refuted else EXIT_OK
+    return _judged(outputs, margins)
 
 
 def _resolve_product_set(name: str) -> UPSet:
@@ -423,26 +336,15 @@ def cmd_ups(args) -> tuple[dict, int]:
         report = ups_plus_state_bound(ups_set, z, lam)
     except ExtraStateError as exc:  # only a --z file can fail these checks
         raise InputError(f"{args.z}: {exc}") from exc
-    n = len(ups_set)
-    zz = projector(z)
-    slack = report.certificate.matrix - zz / (n + 1)
-    # For unit product v, <v|Pi|v> >= lam (the cited constant) and
-    # |<v|z>|^2 <= delta, so (Pi - (lam/delta) zz*) / (n+1) is block
-    # positive. lam/delta <= dim_y lam, so the few-ulp errors of lam and
-    # delta move its entries by far less than the rounding budget.
-    exact = (ups_set.projector_sum() - (lam / report.delta) * zz) / (n + 1)
-    [margin] = _margin_bounds([float(np.abs(slack - exact).max())], [slack])
     outputs = {
         "lambda": lam,
         "delta": report.delta,
         "bound": report.bound,
         "claimed_trace": report.certificate.claimed_value,
         "member_slack_min_eigenvalue": report.psd_margin,
-        "extra_state_margin_bound": margin,
+        "extra_state_margin_bound": report.extra_state_margin_bound,
     }
-    refuted = margin < -PSD_MARGIN_TOL or report.psd_margin < -PSD_MARGIN_TOL
-    outputs["outcome"] = "refuted" if refuted else "unrefuted"
-    return outputs, EXIT_REFUTED if refuted else EXIT_OK
+    return _judged(outputs, (report.psd_margin, report.extra_state_margin_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,6 @@ class SDPSolution:
     z_blocks: list[np.ndarray]
     primal_value: float
     dual_value: float
-    gap: float
     status: str
     iterations: int
     log: list[IterateRecord]
@@ -636,7 +635,6 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
         z_blocks=[zb for z in z_stacks for zb in _sym(z)],
         primal_value=last.primal,
         dual_value=last.dual,
-        gap=last.gap,
         status=status,
         iterations=it,
         log=records,

@@ -48,7 +48,6 @@ class DiscriminationResult:
     value: float
     measurement: Measurement
     certificate: DualCertificate
-    gap: float
     solution: SDPSolution
     # For the PPT class: per-state decomposition (S_k, S'_k), both PSD, with
     # H - p_k rho_k = S_k + T_X(S'_k), read off the solver dual slacks.
@@ -176,7 +175,6 @@ def _solve(e: Ensemble, ppt: bool) -> DiscriminationResult:
         value=sol.primal_value,
         measurement=measurement,
         certificate=DualCertificate(h, "ppt-dual" if ppt else "psd-dual"),
-        gap=sol.gap,
         solution=sol,
         certificate_parts=(
             list(zip(lifted(sol.z_blocks, v, 0), lifted(sol.z_blocks, w, n))) if ppt else None

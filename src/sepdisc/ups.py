@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conesolve
+from .certificates import margin_bounds
 from .conesolve import DualCertificate, LPFeasibilityResult
 from .discrimination import Measurement
 from .linalg import NULL_SPACE_RTOL, partial_trace
@@ -220,6 +221,7 @@ class UPSBoundReport:
     certificate: DualCertificate
     delta: float  # spectral norm of the Y-marginal of the extra state
     psd_margin: float  # min eigenvalue over the member slack operators
+    extra_state_margin_bound: float  # lower bound on the z slack's block-positivity margin
 
 
 def ups_plus_state_bound(s: UPSet, z: np.ndarray, lam: float) -> UPSBoundReport:
@@ -231,9 +233,11 @@ def ups_plus_state_bound(s: UPSet, z: np.ndarray, lam: float) -> UPSBoundReport:
     measurement is at most 1 - lam / ((N+1) delta). The returned certificate
     is H = (Pi + (1 - lam/delta) zz*) / (N+1); its slack against each member
     is PSD outright, and its slack against z is block positive whenever lam
-    is a valid constant. Raises ValueError unless lam is positive and lam /
-    delta is finite, and ExtraStateError unless z is a unit vector on the
-    set's space orthogonal to every member.
+    is a valid constant. The report bounds both slacks' margins, the z
+    slack's from its residual against (Pi - (lam/delta) zz*) / (N+1). Raises
+    ValueError unless lam is positive and lam / delta is finite, and
+    ExtraStateError unless z is a unit vector on the set's space orthogonal
+    to every member.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
@@ -260,7 +264,15 @@ def ups_plus_state_bound(s: UPSet, z: np.ndarray, lam: float) -> UPSBoundReport:
     for member in s.members:
         slack = cert.matrix - projector(member.vector) / (n + 1)
         margin = min(margin, float(np.linalg.eigvalsh((slack + slack.conj().T) / 2)[0]))
-    return UPSBoundReport(bound=bound, certificate=cert, delta=delta, psd_margin=margin)
+    slack = cert.matrix - zz / (n + 1)
+    # For unit product v, <v|Pi|v> >= lam and |<v|z>|^2 <= delta, so
+    # (Pi - (lam/delta) zz*) / (n+1) is block positive. lam/delta <= dim_y
+    # lam, so the few-ulp errors of lam and delta move its entries by far
+    # less than the rounding budget.
+    exact = (s.projector_sum() - (lam / delta) * zz) / (n + 1)
+    [extra] = margin_bounds([float(np.abs(slack - exact).max())], [slack])
+    return UPSBoundReport(bound=bound, certificate=cert, delta=delta, psd_margin=margin,
+                          extra_state_margin_bound=extra)
 
 
 def tiles_overlap_constant() -> float:

@@ -13,6 +13,7 @@ import sepdisc
 from feng_fixture import EXPECTED_REPLACEMENTS
 from sepdisc.certificates import (
     DEFAULT_SEED,
+    PSD_MARGIN_TOL,
     block_positivity_search,
     breuer_hall_witness,
     three_bell_resource_certificate,
@@ -30,7 +31,7 @@ from sepdisc.discrimination import (
     three_bell_value,
     four_bell_value,
 )
-from sepdisc.linalg import BipartiteSpace, PAULI, kron
+from sepdisc.linalg import BipartiteSpace, PAULI, kron, orthogonal_complement
 from sepdisc.states import (
     Ensemble,
     ProductVector,
@@ -227,17 +228,25 @@ def test_criterion_7_tiles_plus_state():
     delta_err = abs(report.delta - np.cos(np.pi / 8) ** 2)
     formula_err = abs(report.bound - (1 - lam / (6 * report.delta)))
     estimate = block_positivity_search(tiles.projector_sum(), tiles.space, 1000, DEFAULT_SEED)
+    # The slack against z is bounded where the certificate is built, for the
+    # built-in z and for a second unit vector in the members' complement.
+    other = orthogonal_complement([m.vector for m in tiles.members], 9) @ [0.5, -0.5j, 0.5, 0.5]
+    other_report = ups_plus_state_bound(tiles, other / np.linalg.norm(other), lam)
+    extra = min(report.extra_state_margin_bound, other_report.extra_state_margin_bound)
     ok = (
         delta_err <= 1e-12
         and formula_err <= 1e-14
         and report.bound < 1 - 1.647e-4
         and report.psd_margin >= -1e-10
+        and extra >= -PSD_MARGIN_TOL
         and estimate.min_overlap >= lam
     )
     _report(
         7, ok,
         f"delta err {delta_err:.1e}; bound {report.bound!r} < 1-1.647e-4; "
-        f"psd margin {report.psd_margin:.1e}; overlap estimate "
+        f"psd margin {report.psd_margin:.1e}; extra-state margin bounds "
+        f"{report.extra_state_margin_bound:.1e}, {other_report.extra_state_margin_bound:.1e}; "
+        f"overlap estimate "
         f"{estimate.min_overlap:.6f} >= lambda {lam:.6f}",
     )
 

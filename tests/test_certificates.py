@@ -242,6 +242,38 @@ def test_ydy_certificate_search_unrefuted():
     assert r.min_overlap >= -1e-9
 
 
+# -- what certify proves -----------------------------------------------------------
+
+
+def test_certify_margins_on_dense_grids(monkeypatch):
+    # Every valid certificate's margin bounds clear -PSD_MARGIN_TOL across the
+    # whole range of epsilon, with bell3 up to its end at 1.
+    grids = {
+        "bell3": [k / 20 for k in range(20)] + [0.9999999995],
+        "bell4": [k / 20 for k in range(21)],
+        "ydy": [None],
+    }
+    for name, grid in grids.items():
+        for eps in grid:
+            _, _, checks, margins = certificates.certify(name, eps)
+            assert min(margins) >= -certificates.PSD_MARGIN_TOL, (name, eps)
+            assert checks.get("trace_formula_residual", 0.0) <= 1e-15, (name, eps)
+    # With H scaled by 1 - 1e-6 the trace is below the achievable value, and
+    # the least margin bound falls below -5e-8.
+    for name, attr in (("bell3", "three_bell_resource_certificate"),
+                       ("bell4", "four_bell_resource_certificate")):
+        def scaled(e, build=getattr(certificates, attr)):
+            cert = build(e)
+            return certificates.DualCertificate((1 - 1e-6) * cert.matrix, cert.cone_tag)
+
+        monkeypatch.setattr(certificates, attr, scaled)
+        for eps in (0.2, 0.6, 0.9):
+            assert min(certificates.certify(name, eps)[3]) < -5e-8, (name, eps)
+    for name, eps in (("ydy", 0.6), ("bell3", None), ("bell5", 0.6)):
+        with pytest.raises(ValueError, match="no certificate"):
+            certificates.certify(name, eps)
+
+
 # -- see-saw search --------------------------------------------------------------
 
 

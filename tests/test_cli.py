@@ -291,10 +291,8 @@ def test_scaled_bell3_certificate_is_refuted(tmp_path, monkeypatch):
     # H scaled by 1 - 1e-6 has trace below the achievable 14/15; its slacks
     # (1 - 1e-6) H - rho_k / 3 miss the map identity by about 1e-7. certify
     # forms the slacks from the certificate it reports.
-    from sepdisc import cli
-
     original = certificates.three_bell_resource_certificate
-    monkeypatch.setattr(cli, "three_bell_resource_certificate",
+    monkeypatch.setattr(certificates, "three_bell_resource_certificate",
                         lambda eps: _scaled(original(eps), 1 - 1e-6))
     code, report = run(tmp_path, "certify", "bell3", "--epsilon", "0.6")
     assert code == EXIT_REFUTED
@@ -305,10 +303,8 @@ def test_scaled_bell3_certificate_is_refuted(tmp_path, monkeypatch):
 
 
 def test_scaled_ydy_certificate_is_refuted(tmp_path, monkeypatch):
-    from sepdisc import cli
-
-    monkeypatch.setattr(cli, "ydy_certificate",
-                        lambda: _scaled(certificates.ydy_certificate(), 1 - 1e-6))
+    original = certificates.ydy_certificate
+    monkeypatch.setattr(certificates, "ydy_certificate", lambda: _scaled(original(), 1 - 1e-6))
     code, report = run(tmp_path, "certify", "ydy")
     assert code == EXIT_REFUTED
     out = report["outputs"]
@@ -322,11 +318,9 @@ def test_scaled_bell4_certificate_is_refuted(tmp_path, monkeypatch, eps):
     # H scaled by 1 - 1e-6 has trace below the achievable (1 + r)/2; some
     # transposed slack (1 - 1e-6) H - rho_k / 4 has an eigenvalue of about
     # -1e-7. Scaled by 1 + 1e-6, H stays a certificate.
-    from sepdisc import cli
-
     original = certificates.four_bell_resource_certificate
     for factor, want in ((1 - 1e-6, EXIT_REFUTED), (1 + 1e-6, EXIT_OK)):
-        monkeypatch.setattr(cli, "four_bell_resource_certificate",
+        monkeypatch.setattr(certificates, "four_bell_resource_certificate",
                             lambda e: _scaled(original(e), factor))
         code, report = run(tmp_path, "certify", "bell4", "--epsilon", eps)
         assert code == want
@@ -339,10 +333,8 @@ def test_scaled_bell4_certificate_is_refuted(tmp_path, monkeypatch, eps):
 def test_certify_bell4_checks_the_ensemble_it_reports(tmp_path, monkeypatch):
     # The slacks are H - rho_k / 4 for the reported ensemble's states: with
     # the ensemble of eps + 0.1 in place of eps's, H no longer dominates them.
-    from sepdisc import cli
-
-    original = cli.extend_ensemble
-    monkeypatch.setattr(cli, "extend_ensemble", lambda e, eps: original(e, eps + 0.1))
+    original = certificates.extend_ensemble
+    monkeypatch.setattr(certificates, "extend_ensemble", lambda e, eps: original(e, eps + 0.1))
     code, report = run(tmp_path, "certify", "bell4", "--epsilon", "0.6")
     assert code == EXIT_REFUTED
     assert report["outputs"]["outcome"] == "refuted"
@@ -668,17 +660,12 @@ def test_ups_bound_analytic_runs_no_search(tmp_path, monkeypatch, flags):
 def test_ups_bound_analytic_refutes_a_scaled_certificate(tmp_path, monkeypatch):
     # H scaled by 1 + 1e-6 moves the slack against z off (Pi - (lam/delta)
     # zz*) / 6 by about 1e-7, which the margin bound reports as a refutation.
-    import dataclasses
+    # The scaling happens where ups_plus_state_bound builds H, so the margins
+    # are taken of the scaled certificate.
+    from sepdisc import ups
 
-    from sepdisc import cli
-
-    original = cli.ups_plus_state_bound
-
-    def scaled(*args):
-        report = original(*args)
-        return dataclasses.replace(report, certificate=_scaled(report.certificate, 1 + 1e-6))
-
-    monkeypatch.setattr(cli, "ups_plus_state_bound", scaled)
+    monkeypatch.setattr(ups, "DualCertificate",
+                        lambda h, tag: certificates.DualCertificate((1 + 1e-6) * h, tag))
     code, report = run(tmp_path, "ups", "tiles", "--action", "bound", "--lambda", "analytic")
     assert code == EXIT_REFUTED and report["outputs"]["outcome"] == "refuted"
     assert report["outputs"]["extra_state_margin_bound"] < -1e-7

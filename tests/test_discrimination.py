@@ -96,7 +96,7 @@ def test_global_two_state_matches_helstrom_closed_form():
     expected = (1 + 1 / np.sqrt(2)) / 2
     assert abs(expected - helstrom_value(0.5, e.states[0], 0.5, e.states[1])) <= 1e-15
     assert abs(r.value - expected) <= 1e-6
-    assert abs(r.gap) <= 1e-7 * (1 + abs(r.solution.dual_value))
+    assert abs(r.value - r.solution.dual_value) <= 1e-7 * (1 + abs(r.solution.dual_value))
     # global dual certificate: H - p_k rho_k PSD
     for p, rho in zip(e.probs, e.states):
         assert np.linalg.eigvalsh(r.certificate.matrix - p * rho).min() >= -1e-8
