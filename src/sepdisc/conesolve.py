@@ -17,14 +17,14 @@ rows, and it drops them itself with one greedy Gram-Schmidt pass.
 
 Every iteration takes a Mehrotra predictor-corrector step on the HKM
 direction of primal-dual path following (Mehrotra, SIAM J. Optim. 2, 1992).
-Both the predictor and the corrector solve the same Schur system with
-``np.linalg.solve``. Every problem must carry strictly feasible primal and
+The predictor LU-factors the Schur matrix, and the corrector reuses the
+factors (``_SchurLU``). Every problem must carry strictly feasible primal and
 dual starts, as every program built by this package does; the solver
 verifies them and raises ValueError naming the defect otherwise. So both
 optimal sets are bounded, and the iterates stay feasible up to roundoff
 that accumulates over the iterations. Near the optimum that roundoff is
 held down in two ways: a step whose primal defect |C dX - r_p| exceeds
-``REFINE_TOL`` gets one step of iterative refinement (a third solve), and
+``REFINE_TOL`` gets one step of iterative refinement (an O(m^2) solve), and
 once mu and the gap meet ``DEFAULT_*`` the centring parameter is 1, so mu
 is not driven further toward 0 while only feasibility is missing. A solve
 stops once it meets the ``DEFAULT_*`` tolerances, or once it has stalled:
@@ -59,8 +59,10 @@ a per-block loop to the bit.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -403,6 +405,63 @@ def _add_schur_terms(m_flat, x_stacks, zinv_stacks, slices, work: dict) -> None:
         np.add.at(m_flat, dest, term_t.reshape(-1))
 
 
+def _numpy_lapack() -> tuple | None:
+    """(dgesv, dgetrs, integer type) of numpy.linalg's LAPACK, by the names of
+    numpy 2 wheels, numpy 1 wheels and plain LAPACK; None if none resolves."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name, int_type in (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
+                           ("{}_", ctypes.c_int32)):
+        gesv, getrs = (getattr(lib, name.format(f), None) for f in ("dgesv", "dgetrs"))
+        if gesv is not None and getrs is not None:
+            ptr, v = ctypes.POINTER(int_type), ctypes.c_void_p
+            gesv.argtypes = (ptr, ptr, v, ptr, v, v, ptr, ptr)
+            getrs.argtypes = (ctypes.c_char_p, *gesv.argtypes)
+            gesv.restype = getrs.restype = None
+            return gesv, getrs, int_type
+    return None
+
+
+_LAPACK = _numpy_lapack()
+
+
+class _SchurLU:
+    """One Schur matrix's LU factors: ``solve(a, r)`` solves a x = r and keeps
+    the factors of a, ``solve(None, r)`` solves with them, and a singular a
+    raises LinAlgError. With ``_LAPACK`` they run dgesv on an F-ordered copy
+    of a, as np.linalg.solve does, and dgetrs, O(m^2), on the factors dgesv
+    left: both equal np.linalg.solve to the bit. (dgetrf would not: OpenBLAS
+    threads each entry point by its own rule, and near m = 100-128 dgetrf's
+    differs from dgesv's.) Without ``_LAPACK`` both call np.linalg.solve."""
+
+    def __init__(self, m: int):
+        self.fallback = _LAPACK is None
+        if self.fallback:
+            return
+        gesv, getrs, int_type = _LAPACK
+        self.lu, self.x = np.empty((m, m), order="F"), np.empty(m)
+        self.piv, self.info = np.empty(m, dtype=int_type), int_type(0)
+        n, ld, ref, ptr = int_type(m), int_type(max(1, m)), ctypes.byref, ctypes.c_void_p
+        args = (ref(n), ref(int_type(1)), ptr(self.lu.ctypes.data), ref(ld),
+                ptr(self.piv.ctypes.data), ptr(self.x.ctypes.data), ref(ld), ref(self.info))
+        self.gesv = partial(gesv, *args)
+        self.getrs = partial(getrs, ctypes.c_char_p(b"N"), *args)
+
+    def solve(self, a: np.ndarray | None, r: np.ndarray) -> np.ndarray:
+        if self.fallback:
+            self.a = self.a if a is None else a
+            return np.linalg.solve(self.a, r)
+        if a is not None:
+            self.lu[...] = a
+        self.x[...] = r
+        (self.gesv if a is not None else self.getrs)()
+        if self.info.value:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return self.x.copy()
+
+
 def _max_step(factors, dstacks) -> float:
     """BOUNDARY_FRACTION times the distance to the PSD boundary along the
     direction, capped at 1, from the current blocks' Cholesky factors; 0 if None."""
@@ -470,11 +529,11 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     """Solve a block-diagonal SDP by Mehrotra predictor-corrector path
     following on the HKM direction.
 
-    Each iteration solves the Schur system twice: once for the affine
-    (sigma = 0) predictor, whose step lengths set sigma = (mu_aff / mu)^3,
-    and once for the centred direction with the second-order correction.
-    Sigma is 1 once mu and the gap meet ``DEFAULT_*``. A third solve refines
-    dy when the direction's primal defect exceeds ``REFINE_TOL``.
+    Each iteration factors the Schur matrix once and solves with it twice:
+    for the affine (sigma = 0) predictor, whose step lengths set sigma =
+    (mu_aff / mu)^3, and for the centred direction with the second-order
+    correction. Sigma is 1 once mu and the gap meet ``DEFAULT_*``. A third
+    solve, on the same factors, refines dy past a ``REFINE_TOL`` defect.
 
     The starts must be strictly feasible: a missing or invalid one raises
     ValueError naming the defect. The rows must be linearly independent. At
@@ -495,11 +554,12 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
     a_coords = _coords(a_stacks)
     slices = _schur_slices(c_rows, runs)
     # Reused by every iteration: the Schur matrix, stored column-major so that
-    # np.linalg.solve gets the F-contiguous m_mat and need not copy it
-    # strided, plus a sink entry for padding, and the assembly buffers.
+    # its copy into the F-ordered LU buffer is contiguous, plus a sink entry
+    # for padding, the assembly buffers and the LU factors.
     m_flat = np.empty(b.size * b.size + 1)
     m_mat = m_flat[:-1].reshape(b.size, b.size).T
     work: dict = {}
+    schur = _SchurLU(b.size)
 
     x_stacks, y, z_stacks, x_chol, z_chol = _verified_starts(problem, c_rows, b, runs, a_coords)
 
@@ -552,16 +612,17 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             c_zinv = c_rows @ _coords(zinv_stacks)
             x_rd_zinv = [x @ rd @ zi for x, rd, zi in zip(x_stacks, rd_stacks, zinv_stacks)]
 
-            def solve_m(rhs_vec):
+            def factor_solve(rhs_vec):
+                """Factors M for the rest of the iteration and solves with it."""
                 try:
-                    return np.linalg.solve(m_mat, rhs_vec)
+                    return schur.solve(m_mat, rhs_vec)
                 except np.linalg.LinAlgError:
                     if it == 0:
                         raise IllPosedProblemError("dependent constraint rows") from None
                     # Later on, an exactly singular M is roundoff near the
                     # optimum; a ridge of relative size SCHUR_RIDGE gets past it.
                     ridge = SCHUR_RIDGE * (1.0 + np.trace(m_mat) / b.size)
-                    return np.linalg.solve(m_mat + ridge * np.eye(b.size), rhs_vec)
+                    return schur.solve(m_mat + ridge * np.eye(b.size), rhs_vec)
 
             def steps(dy, sig_mu: float, corr):
                 """dX and dZ of the HKM direction for the given dy."""
@@ -576,10 +637,11 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
 
             def newton(sig_mu: float, corr):
                 """HKM direction for target sig_mu; corr is the second-order
-                term dX_aff dZ_aff Z^-1 per run of blocks, or None."""
+                term dX_aff dZ_aff Z^-1 per run of blocks, or None. The
+                predictor (None) factors M; the corrector reuses the factors."""
                 terms = x_rd_zinv if corr is None else [t + c for t, c in zip(x_rd_zinv, corr)]
                 rhs_vec = sig_mu * c_zinv - b - c_rows @ _coords([_sym(t) for t in terms])
-                dy = solve_m(rhs_vec)
+                dy = factor_solve(rhs_vec) if corr is None else schur.solve(None, rhs_vec)
                 dx, dz = steps(dy, sig_mu, corr)
                 return dx, dy, dz
 
@@ -607,7 +669,7 @@ def solve_sdp(problem: SDPProblem) -> SDPSolution:
             defect = c_rows @ _coords(dx_stacks) - rp
             defect_norm = float(np.linalg.norm(defect))
             if defect_norm > REFINE_TOL * b_scale:
-                dy_ref = dy + solve_m(defect)
+                dy_ref = dy + schur.solve(None, defect)
                 dx_ref, dz_ref = steps(dy_ref, sig * mu, corr)
                 if np.linalg.norm(c_rows @ _coords(dx_ref) - rp) < defect_norm:
                     dx_stacks, dy, dz_stacks = dx_ref, dy_ref, dz_ref

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import inspect
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,19 +418,23 @@ def test_real_programs_bit_identical_to_per_block_assembly(monkeypatch):
     shipped = [run() for run in runs]
     _use_oracle(monkeypatch)
     for run, a in zip(runs, shipped):
-        b = run()
-        assert format_iterate_log(a.log) == format_iterate_log(b.log)
-        assert (a.status, a.stop_reason, a.iterations) == (b.status, b.stop_reason, b.iterations)
-        assert a.y.tobytes() == b.y.tobytes()
-        for u, v in zip(a.x_blocks + a.z_blocks, b.x_blocks + b.z_blocks, strict=True):
-            assert u.tobytes() == v.tobytes()
+        _assert_same_bytes(a, run())
+
+
+def _assert_same_bytes(a, b):
+    """Every iterate, X, y and Z of two solutions equal to the byte."""
+    assert format_iterate_log(a.log) == format_iterate_log(b.log)
+    assert (a.status, a.stop_reason, a.iterations) == (b.status, b.stop_reason, b.iterations)
+    assert a.y.tobytes() == b.y.tobytes()
+    for u, v in zip(a.x_blocks + a.z_blocks, b.x_blocks + b.z_blocks, strict=True):
+        assert u.tobytes() == v.tobytes()
 
 
 def _check_first_schur_matrix(rng, monkeypatch, dims, m):
     """Solves a random problem with strictly feasible random starts, which
     fix the first iterate, so the first Schur matrix can be rebuilt densely
-    from X_0 and Z_0; checks it, and that every Schur matrix reaches
-    np.linalg.solve F-contiguous."""
+    from X_0 and Z_0; checks it, and that every Schur matrix reaches its LU
+    factorization F-contiguous."""
     ends = np.cumsum([d * d for d in dims]).tolist()
     slices = [slice(e - d * d, e) for d, e in zip(dims, ends)]
     rows = rng.standard_normal((m, ends[-1]))
@@ -446,14 +451,14 @@ def _check_first_schur_matrix(rng, monkeypatch, dims, m):
         dual_start=y0,
     )
     seen = []
-    solve = np.linalg.solve
+    solve = conesolve._SchurLU.solve
 
-    def spy(a, b):
-        if a.shape == (m, m) and not np.iscomplexobj(a):
+    def spy(self, a, r):
+        if a is not None:
             seen.append((a.flags.f_contiguous, a.copy()))
-        return solve(a, b)
+        return solve(self, a, r)
 
-    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(conesolve._SchurLU, "solve", spy)
     sol = solve_sdp(prob)
     monkeypatch.undo()
     assert sol.status == "optimal"
@@ -472,6 +477,47 @@ def test_newton_solve_gets_f_contiguous_dense_schur_matrix(rng, monkeypatch):
 def test_multi_run_first_schur_matrix_matches_dense(rng, monkeypatch):
     # Runs of equal dimension (3, 3), (2,) and (1, 1) next to each other.
     _check_first_schur_matrix(rng, monkeypatch, (3, 3, 2, 1, 1), 12)
+
+
+@pytest.mark.parametrize("m", [24, 120, 150, 567])
+def test_schur_lu_solves_equal_np_linalg_solve_bitwise(rng, m):
+    # m = 120 is bell4 x tau(0.6)'s reduced PPT program, where dgetrf, unlike
+    # dgesv, threads differently from np.linalg.solve; 567 is tiles_psi's.
+    g = rng.standard_normal((m, m))
+    a = np.asfortranarray(g @ g.T + m * np.eye(m))
+    r1, r2 = rng.standard_normal((2, m))
+    lu = conesolve._SchurLU(m)
+    assert lu.solve(a, r1).tobytes() == np.linalg.solve(a, r1).tobytes()
+    assert lu.solve(None, r2).tobytes() == np.linalg.solve(a, r2).tobytes()
+    # A zero row and column, as dependent rows give: the pivot there is 0.
+    a[m // 2, :] = a[:, m // 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        lu.solve(a, r1)
+    ridged = a + conesolve.SCHUR_RIDGE * (1.0 + np.trace(a) / m) * np.eye(m)
+    assert lu.solve(ridged, r1).tobytes() == np.linalg.solve(ridged, r1).tobytes()
+    assert lu.solve(None, r2).tobytes() == np.linalg.solve(ridged, r2).tobytes()
+
+
+def test_np_linalg_solve_fallback_gives_the_same_solves(monkeypatch):
+    # Without numpy's LAPACK symbols every Schur solve is np.linalg.solve.
+    runs = (
+        lambda: optimal_ppt(extend_ensemble(catalog("bell4"), 0.6)).solution,
+        lambda: optimal_global(catalog("domino")).solution,
+    )
+    shipped = [run() for run in runs]
+    monkeypatch.setattr(conesolve, "_LAPACK", None)
+    for run, a in zip(runs, shipped):
+        _assert_same_bytes(a, run())
+
+
+def test_schur_solves_use_numpys_lapack_where_numpy_bundles_openblas():
+    # numpy's wheels bundle OpenBLAS in numpy.libs (Linux, Windows) or
+    # numpy/.dylibs (macOS); with it, the fallback must not be taken.
+    here = Path(np.__file__).resolve().parent
+    if not any(chain((here.parent / "numpy.libs").glob("*openblas*"),
+                     (here / ".dylibs").glob("*openblas*"))):
+        pytest.skip("this numpy does not bundle OpenBLAS")
+    assert conesolve._LAPACK is not None
 
 
 def test_stacked_step_length_matches_per_block_reference(rng):
